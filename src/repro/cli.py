@@ -7,9 +7,8 @@ Usage (after installation, via ``python -m repro``):
   basic`` for the Clio-style baseline);
 * ``python -m repro run problem.txt instance.txt`` — execute the
   transformation on an instance (``--engine batch`` for the planned
-  set-oriented runtime, ``--workers N`` to partition large scans across
-  processes; ``--engine sqlite`` runs on SQLite, ``--enforce`` with real
-  constraints; ``--validate`` prints the target constraint report,
+  set-oriented runtime; ``--engine sqlite`` runs on SQLite, ``--enforce``
+  with real constraints; ``--validate`` prints the target constraint report,
   ``--fail-on-violation`` additionally exits non-zero when it is not clean);
 * ``python -m repro plan problem.txt`` (or ``--scenario NAME``) — dump the
   batch runtime's compiled operator trees (``--json`` for machine-readable
@@ -177,9 +176,6 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     system = _system(args)
-    if args.workers is not None and args.engine != "batch":
-        print("error: --workers requires --engine batch", file=sys.stderr)
-        return 2
     analyze = bool(args.explain_analyze or args.analyze_out)
     if analyze and args.engine == "sqlite":
         print(
@@ -195,9 +191,7 @@ def cmd_run(args) -> int:
         target = executor.run(system.transformation, source)
     else:  # batch, reference (and reference's legacy alias "datalog")
         engine = "batch" if args.engine == "batch" else "reference"
-        result = system.run(
-            source, engine=engine, workers=args.workers, analyze=analyze
-        )
+        result = system.run(source, engine=engine, analyze=analyze)
         target = result.target
     print(target.to_text())
     if args.validate or args.fail_on_violation:
@@ -975,11 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reference = tuple-at-a-time oracle interpreter; batch = "
              "planned set-oriented runtime; sqlite = SQL translation on "
              "SQLite (datalog is a legacy alias for reference)",
-    )
-    run_parser.add_argument(
-        "--workers", type=int, metavar="N",
-        help="batch engine only: partition large outer scans across N "
-             "worker processes",
     )
     run_parser.add_argument("--enforce", action="store_true",
                             help="enforce PK/FK/NOT NULL on SQLite")

@@ -380,7 +380,6 @@ class MappingSystem:
         self,
         source: Instance,
         engine: str = "batch",
-        workers: int | None = None,
         analyze: bool = False,
     ) -> EvaluationResult:
         """Execute the transformation on a selectable engine.
@@ -389,24 +388,18 @@ class MappingSystem:
         batch runtime of :mod:`repro.datalog.exec`; ``engine="reference"``
         runs the tuple-at-a-time interpreter of
         :mod:`repro.datalog.engine`, which stays the differential-testing
-        oracle.  ``workers=N`` (batch only) partitions large outer scans
-        across a process pool — see ``docs/ENGINE.md``.  ``analyze=True``
-        collects the EXPLAIN ANALYZE profile on the returned result (also
-        collected implicitly when the system was created with
-        ``metrics=True``).
+        oracle (see ``docs/ENGINE.md``).  ``analyze=True`` collects the
+        EXPLAIN ANALYZE profile on the returned result (also collected
+        implicitly when the system was created with ``metrics=True``).
         """
         if engine not in self.ENGINES:
             raise ReproError(
                 f"unknown engine {engine!r}: expected one of {self.ENGINES}"
             )
-        if workers is not None and engine != "batch":
-            raise ReproError("workers=N requires engine='batch'")
         program = self.transformation
         with self._traced():
             if engine == "batch":
-                result = evaluate_batch(
-                    program, source, workers=workers, analyze=analyze
-                )
+                result = evaluate_batch(program, source, analyze=analyze)
             else:
                 result = evaluate(program, source, analyze=analyze)
         self._last_evaluation = result

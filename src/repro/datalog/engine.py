@@ -24,7 +24,7 @@ from .program import DatalogProgram, Rule
 from .stratify import stratify
 
 
-class _Store:
+class Store:
     """Rows plus lazily built hash indexes for every readable relation."""
 
     def __init__(self) -> None:
@@ -73,7 +73,7 @@ class _Store:
 Bindings = dict[Variable, Any]
 
 
-def _eval_term(term: Term, bindings: Bindings) -> Any:
+def eval_term(term: Term, bindings: Bindings) -> Any:
     """Evaluate a head/condition term to a value under the bindings."""
     if isinstance(term, Variable):
         try:
@@ -85,7 +85,7 @@ def _eval_term(term: Term, bindings: Bindings) -> Any:
     if isinstance(term, Constant):
         return term.value
     if isinstance(term, SkolemTerm):
-        return LabeledNull(term.functor, tuple(_eval_term(a, bindings) for a in term.args))
+        return LabeledNull(term.functor, tuple(eval_term(a, bindings) for a in term.args))
     raise EvaluationError(f"cannot evaluate term {term!r}")  # pragma: no cover
 
 
@@ -117,7 +117,7 @@ def _match_atom(
     return merged
 
 
-def _join(store: _Store, atoms: list[RelationalAtom], bindings: Bindings) -> Iterator[Bindings]:
+def join_atoms(store: Store, atoms: list[RelationalAtom], bindings: Bindings) -> Iterator[Bindings]:
     """All extensions of ``bindings`` satisfying every atom (greedy ordering)."""
     if not atoms:
         yield bindings
@@ -164,7 +164,7 @@ def _join(store: _Store, atoms: list[RelationalAtom], bindings: Bindings) -> Ite
         extended = _match_atom(atom, row, bindings)
         if extended is None:
             continue
-        yield from _join(store, rest, extended)
+        yield from join_atoms(store, rest, extended)
 
 
 def _conditions_hold(rule: Rule, bindings: Bindings) -> bool:
@@ -175,31 +175,31 @@ def _conditions_hold(rule: Rule, bindings: Bindings) -> bool:
         if is_null(bindings[var]):
             return False
     for equality in rule.equalities:
-        if _eval_term(equality.left, bindings) != _eval_term(equality.right, bindings):
+        if eval_term(equality.left, bindings) != eval_term(equality.right, bindings):
             return False
     for disequality in rule.disequalities:
-        if _eval_term(disequality.left, bindings) == _eval_term(disequality.right, bindings):
+        if eval_term(disequality.left, bindings) == eval_term(disequality.right, bindings):
             return False
     return True
 
 
-def _negations_hold(rule: Rule, store: _Store, bindings: Bindings) -> bool:
+def _negations_hold(rule: Rule, store: Store, bindings: Bindings) -> bool:
     for atom in rule.negated:
-        row = tuple(_eval_term(t, bindings) for t in atom.terms)
+        row = tuple(eval_term(t, bindings) for t in atom.terms)
         if store.contains(atom.relation, row):
             return False
     return True
 
 
-def evaluate_rule(rule: Rule, store: _Store) -> list[Row]:
+def evaluate_rule(rule: Rule, store: Store) -> list[Row]:
     """All head rows derived by one rule against the current store."""
     derived: dict[Row, None] = {}
-    for bindings in _join(store, list(rule.body), {}):
+    for bindings in join_atoms(store, list(rule.body), {}):
         if not _conditions_hold(rule, bindings):
             continue
         if not _negations_hold(rule, store, bindings):
             continue
-        row = tuple(_eval_term(t, bindings) for t in rule.head.terms)
+        row = tuple(eval_term(t, bindings) for t in rule.head.terms)
         derived.setdefault(row, None)
     return list(derived)
 
@@ -253,7 +253,7 @@ def evaluate(
         profile = ExecutionProfile(engine="reference")
     run_started = time.perf_counter()
     with span("stage.evaluate", rules=len(program.rules)) as trace:
-        store = _Store()
+        store = Store()
         source_rows = 0
         for name, relation in source.relations.items():
             store.add_relation(name, list(relation.rows))

@@ -5,10 +5,9 @@ Layers:
 * :mod:`repro.datalog.exec.plan` — per-rule operator trees
   (``scan -> hash-join* -> filter* -> antijoin* -> project``) with the join
   order chosen once per rule from relation statistics;
-* :mod:`repro.datalog.exec.batch` — the batch executor: operators over row
-  batches with interned values and per-stratum reusable hash indexes;
-* :mod:`repro.datalog.exec.workers` — opt-in ``workers=N`` mode partitioning
-  the outer scan across a process pool for large sources;
+* :mod:`repro.datalog.exec.batch` — the batch executor: one serial loop
+  running operators over row batches with per-stratum reusable hash
+  indexes, measured or not;
 * :mod:`repro.datalog.exec.profile` — the measured operator/rule/stratum
   profiles behind ``repro run --explain-analyze`` and the ``exec.*``
   metric families.
@@ -19,7 +18,7 @@ backend agree on every bundled scenario, the synthetic workloads and
 hypothesis-generated problems.  See ``docs/ENGINE.md``.
 """
 
-from .batch import BATCH_SIZE, BatchStore, Interner, evaluate_batch, run_plan
+from .batch import BATCH_SIZE, BatchStore, evaluate_batch, run_plan
 from .profile import (
     ExecutionProfile,
     OperatorStats,
@@ -40,7 +39,6 @@ from .plan import (
     plan_program,
     plan_rule,
 )
-from .workers import MIN_PARTITION_ROWS, run_plan_partitioned
 
 __all__ = [
     "AntiJoinOp",
@@ -48,9 +46,7 @@ __all__ = [
     "BatchStore",
     "ExecutionProfile",
     "FilterOp",
-    "Interner",
     "JoinOp",
-    "MIN_PARTITION_ROWS",
     "OperatorStats",
     "ProgramPlan",
     "ProjectOp",
@@ -65,5 +61,4 @@ __all__ = [
     "plan_program",
     "plan_rule",
     "run_plan",
-    "run_plan_partitioned",
 ]

@@ -7,14 +7,11 @@ through a recursive generator, this runtime executes each rule's compiled
 plain tuples of slot values, operators are applied batch-at-a-time, and the
 per-binding work in the hot probe loop is a tuple build plus one dict lookup.
 
-Three ingredients carry the speedup:
+Two ingredients carry the speedup:
 
 * **planned joins** — the join order is chosen once per rule from live
   relation statistics (each stratum is planned right before it runs, so
   intermediate relations have exact counts);
-* **interned values** — every value loaded into the store is canonicalized
-  through an :class:`Interner`, so equal values share one object and tuple
-  comparisons in hash probes short-circuit on identity;
 * **reusable indexes** — hash indexes are keyed ``(relation, positions)``
   and shared across all rules of a stratum and across strata until the
   indexed relation changes; cache hits are counted as ``eval.index_reuse``.
@@ -29,11 +26,14 @@ meaning, so run reports are comparable across engines.  With
 in/out, batches, wall seconds and index build-vs-probe splits into an
 :class:`~repro.datalog.exec.profile.ExecutionProfile` (the data behind
 ``repro run --explain-analyze``), and the profile is folded into the
-registry's ``exec.*`` / ``eval.*`` metric families on completion.
+registry's ``exec.*`` / ``eval.*`` metric families on completion.  Both
+modes run the same loop in :func:`run_plan`; measuring adds a few branches
+per batch, never per row.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterator
@@ -60,41 +60,18 @@ from .profile import (
 BATCH_SIZE = 1024
 
 
-class Interner:
-    """Canonicalizes equal values to one object (identity fast paths)."""
-
-    __slots__ = ("_seen",)
-
-    def __init__(self) -> None:
-        self._seen: dict[Any, Any] = {}
-
-    def intern(self, value: Any) -> Any:
-        try:
-            return self._seen.setdefault(value, value)
-        except TypeError:  # pragma: no cover - unhashable values stay as-is
-            return value
-
-    def intern_row(self, row: Row) -> Row:
-        seen = self._seen
-        return tuple(seen.setdefault(v, v) for v in row)
-
-
 class BatchStore:
-    """Interned rows plus reusable hash indexes for every readable relation."""
+    """Rows plus reusable hash indexes for every readable relation."""
 
     def __init__(self) -> None:
         self._rows: dict[str, list[Row]] = {}
         self._sets: dict[str, set[Row]] = {}
         self._indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
-        self.interner = Interner()
 
-    def add_relation(
-        self, name: str, rows, intern: bool = True
-    ) -> None:
-        interned = self.interner.intern_row if intern else tuple
+    def add_relation(self, name: str, rows) -> None:
         unique: dict[Row, None] = {}
         for row in rows:
-            unique.setdefault(interned(row), None)
+            unique.setdefault(tuple(row), None)
         self._rows[name] = list(unique)
         self._sets[name] = set(unique)
         # Replacing a relation invalidates every index built over it.
@@ -116,12 +93,27 @@ class BatchStore:
     def sizes(self) -> dict[str, int]:
         return {name: len(rows) for name, rows in self._rows.items()}
 
-    def index(self, name: str, positions: tuple[int, ...]) -> dict:
+    def index(
+        self,
+        name: str,
+        positions: tuple[int, ...],
+        stats: OperatorStats | None = None,
+    ) -> dict:
+        """The hash index of ``name`` on ``positions``, built on first use.
+
+        The one place that knows whether the index was cached: a hit counts
+        ``eval.index_reuse`` and, given a join's ``stats``, its
+        ``index_hits``; a build counts ``index_misses``.
+        """
         key = (name, positions)
         index = self._indexes.get(key)
         if index is not None:
             count("eval.index_reuse")
+            if stats is not None:
+                stats.index_hits += 1
             return index
+        if stats is not None:
+            stats.index_misses += 1
         index = {}
         if len(positions) == 1:
             position = positions[0]
@@ -162,9 +154,7 @@ def _capture_extractor(capture: tuple[tuple[int, int], ...]):
     return itemgetter(*positions)
 
 
-def _scan_batches(
-    scan, rows: list[Row], batch_size: int
-) -> Iterator[list[Row]]:
+def _scan_batches(scan, rows: list[Row]) -> Iterator[list[Row]]:
     """Filtered, captured slot tuples of the scanned relation, in batches."""
     plain = not (scan.const_eq or scan.null_eq or scan.same)
     identity = plain and [p for p, _ in scan.capture] == list(
@@ -173,8 +163,8 @@ def _scan_batches(
     if identity and scan.capture:
         # Common case: first atom binds all-new distinct variables over the
         # full row — the stored rows *are* the slot tuples, zero copies.
-        for start in range(0, len(rows), batch_size):
-            yield rows[start:start + batch_size]
+        for start in range(0, len(rows), BATCH_SIZE):
+            yield rows[start:start + BATCH_SIZE]
         return
     extract = _capture_extractor(scan.capture)
     const_eq = scan.const_eq
@@ -201,7 +191,7 @@ def _scan_batches(
         if not ok:
             continue
         append(extract(row) if extract is not None else ())
-        if len(batch) >= batch_size:
+        if len(batch) >= BATCH_SIZE:
             yield batch
             batch = []
             append = batch.append
@@ -227,17 +217,10 @@ def _join_stage(
     join, store: BatchStore, stats: OperatorStats | None = None
 ) -> Callable[[list[Row]], list[Row]]:
     """Compile one join into a batch -> batch callable (index built now)."""
-    if stats is None:
-        index = store.index(join.relation, join.key_positions)
-    else:
-        cached = (join.relation, join.key_positions) in store._indexes
-        build_started = perf_counter()
-        index = store.index(join.relation, join.key_positions)
+    build_started = perf_counter()
+    index = store.index(join.relation, join.key_positions, stats)
+    if stats is not None:
         stats.build_seconds += perf_counter() - build_started
-        if cached:
-            stats.index_hits += 1
-        else:
-            stats.index_misses += 1
     key_slots = [e[1] if e[0] == "slot" else None for e in join.key_exprs]
     if all(s is not None for s in key_slots):
         if len(key_slots) == 1:
@@ -304,64 +287,14 @@ def _antijoin_stage(antijoin, store: BatchStore) -> Callable[[list[Row]], list[R
 def run_plan(
     plan: RulePlan,
     store: BatchStore,
-    batch_size: int = BATCH_SIZE,
-    scan_rows: list[Row] | None = None,
     profile: RuleProfile | None = None,
 ) -> list[Row]:
     """All head rows derived by one compiled rule against the store.
-
-    ``scan_rows`` overrides the scanned relation's rows — the partitioned
-    workers mode feeds each worker its slice of the outer scan while every
-    joined or negated relation stays complete.
 
     ``profile`` switches on per-operator measurement: its
     :class:`~repro.datalog.exec.profile.OperatorStats` (created with
     :func:`~repro.datalog.exec.profile.operators_for_plan`, so they mirror
     this plan's pipeline) accumulate rows in/out, batches and wall seconds.
-    When ``profile`` is None the original uninstrumented loop runs.
-    """
-    if profile is not None:
-        return _run_plan_profiled(plan, store, batch_size, scan_rows, profile)
-    derived: dict[Row, None] = {}
-    if plan.scan is None:
-        batches: Iterator[list[Row]] = iter([[()]])
-    else:
-        rows = scan_rows if scan_rows is not None else store.rows(plan.scan.relation)
-        batches = _scan_batches(plan.scan, rows, batch_size)
-    # Compile every stage once per rule: joins build (or reuse) their index
-    # here, filters/antijoins/projection become batch -> batch closures.
-    stages: list[Callable[[list[Row]], list[Row]]] = []
-    for join in plan.joins:
-        stages.append(_join_stage(join, store))
-    for filter_op in plan.filters:
-        stages.append(_filter_stage(filter_op))
-    for antijoin in plan.antijoins:
-        stages.append(_antijoin_stage(antijoin, store))
-    project = _row_builder(plan.project.exprs)
-    setdefault = derived.setdefault
-    for batch in batches:
-        count("eval.batches")
-        for stage in stages:
-            batch = stage(batch)
-            if not batch:
-                break
-        else:
-            for slots in batch:
-                setdefault(project(slots), None)
-    return list(derived)
-
-
-_DONE = object()  # sentinel: the profiled loop times each batch fetch
-
-
-def _run_plan_profiled(
-    plan: RulePlan,
-    store: BatchStore,
-    batch_size: int,
-    scan_rows: list[Row] | None,
-    profile: RuleProfile,
-) -> list[Row]:
-    """The measured twin of :func:`run_plan`.
 
     Timing is batch-granular (two ``perf_counter`` reads per operator per
     batch), which keeps the overhead well under the 5% budget pinned by
@@ -371,70 +304,76 @@ def _run_plan_profiled(
     contributes zero to both sides downstream).
     """
     started = perf_counter()
-    ops = profile.operators
-    scan_stats = ops[0] if plan.scan is not None else None
-    pipeline_stats = ops[1:-1] if scan_stats is not None else ops[:-1]
-    project_stats = ops[-1]
+    scan_stats = project_stats = None
+    stats_of: Iterator[OperatorStats | None] = repeat(None)
+    if profile is not None:
+        ops = profile.operators
+        if plan.scan is not None:
+            scan_stats, ops = ops[0], ops[1:]
+        stats_of, project_stats = iter(ops[:-1]), ops[-1]
     derived: dict[Row, None] = {}
     if plan.scan is None:
         batches: Iterator[list[Row]] = iter([[()]])
     else:
-        rows = scan_rows if scan_rows is not None else store.rows(plan.scan.relation)
-        scan_stats.rows_in += len(rows)
-        batches = _scan_batches(plan.scan, rows, batch_size)
-    stages: list[tuple[Callable[[list[Row]], list[Row]], OperatorStats]] = []
-    cursor = iter(pipeline_stats)
+        rows = store.rows(plan.scan.relation)
+        if scan_stats is not None:
+            scan_stats.rows_in += len(rows)
+        batches = _scan_batches(plan.scan, rows)
+    # Compile every stage once per rule: joins build (or reuse) their index
+    # here, filters/antijoins/projection become batch -> batch closures.
+    stages: list[
+        tuple[Callable[[list[Row]], list[Row]], OperatorStats | None]
+    ] = []
     for join in plan.joins:
-        stats = next(cursor)
+        stats = next(stats_of)
         stages.append((_join_stage(join, store, stats), stats))
     for filter_op in plan.filters:
-        stages.append((_filter_stage(filter_op), next(cursor)))
+        stages.append((_filter_stage(filter_op), next(stats_of)))
     for antijoin in plan.antijoins:
-        stages.append((_antijoin_stage(antijoin, store), next(cursor)))
+        stages.append((_antijoin_stage(antijoin, store), next(stats_of)))
     project = _row_builder(plan.project.exprs)
     setdefault = derived.setdefault
     while True:
         fetch_started = perf_counter()
-        batch = next(batches, _DONE)
+        batch = next(batches, None)
         if scan_stats is not None:
             scan_stats.seconds += perf_counter() - fetch_started
-        if batch is _DONE:
+        if batch is None:
             break
         count("eval.batches")
         if scan_stats is not None:
             scan_stats.batches += 1
             scan_stats.rows_out += len(batch)
-        emptied = False
         for stage, stats in stages:
-            stats.rows_in += len(batch)
-            stats.batches += 1
-            stage_started = perf_counter()
-            batch = stage(batch)
-            stats.seconds += perf_counter() - stage_started
-            stats.rows_out += len(batch)
+            if stats is None:
+                batch = stage(batch)
+            else:
+                stats.rows_in += len(batch)
+                stats.batches += 1
+                stage_started = perf_counter()
+                batch = stage(batch)
+                stats.seconds += perf_counter() - stage_started
+                stats.rows_out += len(batch)
             if not batch:
-                emptied = True
                 break
-        if emptied:
-            continue
-        project_stats.rows_in += len(batch)
-        project_stats.batches += 1
-        project_started = perf_counter()
-        for slots in batch:
-            setdefault(project(slots), None)
-        project_stats.seconds += perf_counter() - project_started
-        project_stats.rows_out += len(batch)
-    profile.rows_unique += len(derived)
-    profile.seconds += perf_counter() - started
+        else:
+            project_started = perf_counter()
+            for slots in batch:
+                setdefault(project(slots), None)
+            if project_stats is not None:
+                project_stats.rows_in += len(batch)
+                project_stats.batches += 1
+                project_stats.seconds += perf_counter() - project_started
+                project_stats.rows_out += len(batch)
+    if profile is not None:
+        profile.rows_unique += len(derived)
+        profile.seconds += perf_counter() - started
     return list(derived)
 
 
 def evaluate_batch(
     program: DatalogProgram,
     source: Instance,
-    workers: int | None = None,
-    batch_size: int = BATCH_SIZE,
-    min_partition_rows: int | None = None,
     analyze: bool = False,
 ) -> EvaluationResult:
     """Run the transformation on the batch runtime.
@@ -442,9 +381,7 @@ def evaluate_batch(
     Drop-in equivalent of :func:`repro.datalog.engine.evaluate` — same
     :class:`EvaluationResult`, same counters plus ``eval.batches`` and
     ``eval.index_reuse`` — but each stratum is compiled to operator plans
-    (with exact statistics) before it runs.  With ``workers=N > 1`` the
-    outer scan of sufficiently large rules is partitioned across a process
-    pool (see :mod:`repro.datalog.exec.workers`).
+    (with exact statistics) before it runs.
 
     ``analyze=True`` — or an active metrics registry — collects an
     :class:`~repro.datalog.exec.profile.ExecutionProfile` (per-operator
@@ -454,12 +391,8 @@ def evaluate_batch(
     if program.target_schema is None:
         raise EvaluationError("program has no target schema")
     program.validate()
-    if workers is not None and workers > 1:
-        from .workers import run_plan_partitioned
     collect = analyze or metrics_enabled()
-    profile = (
-        ExecutionProfile(engine="batch", workers=workers) if collect else None
-    )
+    profile = ExecutionProfile(engine="batch") if collect else None
     run_started = perf_counter()
     with span("stage.evaluate", rules=len(program.rules), engine="batch") as trace:
         store = BatchStore()
@@ -497,20 +430,7 @@ def evaluate_batch(
                             operators=operators_for_plan(plan),
                         )
                         stratum_profile.rules.append(rule_profile)
-                    if workers is not None and workers > 1:
-                        kwargs = {"batch_size": batch_size}
-                        if min_partition_rows is not None:
-                            kwargs["min_partition_rows"] = min_partition_rows
-                        derived = run_plan_partitioned(
-                            plan, store, workers, profile=rule_profile, **kwargs
-                        )
-                    else:
-                        derived = run_plan(
-                            plan,
-                            store,
-                            batch_size=batch_size,
-                            profile=rule_profile,
-                        )
+                    derived = run_plan(plan, store, profile=rule_profile)
                     rule_counts[rule_index[id(rule)]] = len(derived)
                     count("eval.rules_evaluated")
                     count("eval.derived_tuples", len(derived))
@@ -523,9 +443,7 @@ def evaluate_batch(
                     stratum_profile.rows = len(rows)
                     stratum_profile.seconds = perf_counter() - stratum_started
                 computed[relation] = list(rows)
-                # Derived rows are built from already-interned slot values
-                # (plus fresh LabeledNulls), so re-interning buys nothing.
-                store.add_relation(relation, list(rows), intern=False)
+                store.add_relation(relation, list(rows))
 
         target = Instance(program.target_schema)
         for relation in program.target_schema.relation_names():

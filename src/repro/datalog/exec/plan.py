@@ -28,8 +28,8 @@ are not).
 
 Value expressions (probe keys, filter operands, head templates) are small
 tagged tuples — ``("slot", i)``, ``("const", v)``, ``("null",)`` and
-``("skolem", functor, args)`` — kept picklable so whole plans can be shipped
-to worker processes by :mod:`repro.datalog.exec.workers`.
+``("skolem", functor, args)`` — plain data the executor compiles into
+closures once per rule.
 """
 
 from __future__ import annotations

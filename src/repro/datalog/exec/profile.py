@@ -19,12 +19,9 @@ Invariants the differential tests pin down (``tests/test_explain_analyze.py``):
 * a stratum's ``rows`` equals the materialized relation's size after
   cross-rule deduplication.
 
-Profiles are plain picklable dataclasses, so ``workers=N`` subprocesses
-ship their per-slice profiles back to the parent, which folds them with
-:meth:`RuleProfile.merge` (all fields are additive).  Rendering
-(:meth:`ExecutionProfile.render`) produces the annotated operator trees of
-``repro run --explain-analyze`` / ``repro plan --analyze``;
-:meth:`ExecutionProfile.to_dict` is the JSON form.
+Rendering (:meth:`ExecutionProfile.render`) produces the annotated
+operator trees of ``repro run --explain-analyze`` / ``repro plan
+--analyze``; :meth:`ExecutionProfile.to_dict` is the JSON form.
 """
 
 from __future__ import annotations
@@ -154,18 +151,6 @@ class RuleProfile:
     rows_unique: int = 0
     seconds: float = 0.0
 
-    def merge(self, other: "RuleProfile") -> None:
-        """Fold a partitioned slice's profile into this one (additive)."""
-        if len(other.operators) != len(self.operators):
-            raise ValueError(
-                f"cannot merge rule profiles with {len(other.operators)} vs "
-                f"{len(self.operators)} operators"
-            )
-        for mine, theirs in zip(self.operators, other.operators):
-            mine.merge(theirs)
-        self.rows_unique += other.rows_unique
-        self.seconds += other.seconds
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "relation": self.relation,
@@ -202,7 +187,6 @@ class ExecutionProfile:
     """The whole run: per-stratum profiles plus run-level totals."""
 
     engine: str = "batch"
-    workers: int | None = None
     source_rows: int = 0
     target_rows: int = 0
     seconds: float = 0.0
@@ -226,12 +210,10 @@ class ExecutionProfile:
 
     def render(self) -> str:
         """The annotated operator trees (EXPLAIN ANALYZE text output)."""
-        header = f"explain analyze ({self.engine} engine"
-        if self.workers:
-            header += f", workers={self.workers}"
-        header += (
-            f"): {self.source_rows} source rows -> {self.target_rows} "
-            f"target rows in {self.seconds * 1000:.2f} ms"
+        header = (
+            f"explain analyze ({self.engine} engine): {self.source_rows} "
+            f"source rows -> {self.target_rows} target rows in "
+            f"{self.seconds * 1000:.2f} ms"
         )
         lines = [header]
         for stratum in self.strata:
@@ -252,16 +234,13 @@ class ExecutionProfile:
         return "\n".join(lines)
 
     def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {
+        return {
             "engine": self.engine,
             "source_rows": self.source_rows,
             "target_rows": self.target_rows,
             "seconds": self.seconds,
             "strata": [stratum.to_dict() for stratum in self.strata],
         }
-        if self.workers is not None:
-            data["workers"] = self.workers
-        return data
 
 
 def emit_profile_metrics(profile: ExecutionProfile) -> None:

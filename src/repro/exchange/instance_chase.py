@@ -21,15 +21,15 @@ from ..model.instance import Instance
 from ..model.schema import Schema
 from ..model.values import NULL, LabeledNull, is_labeled_null, is_null
 from ..obs import metric_inc
-from ..datalog.engine import _Store, _eval_term, _join  # reuse the join machinery
+from ..datalog.engine import Store, eval_term, join_atoms  # reuse the join machinery
 
 
 def _premise_bindings(mapping: LogicalMapping, source: Instance):
     """All premise bindings over the source instance (conditions included)."""
-    store = _Store()
+    store = Store()
     for name, relation in source.relations.items():
         store.add_relation(name, list(relation.rows))
-    for bindings in _join(store, list(mapping.premise.atoms), {}):
+    for bindings in join_atoms(store, list(mapping.premise.atoms), {}):
         ok = True
         for var in mapping.premise.null_vars:
             if not is_null(bindings[var]):
@@ -42,14 +42,14 @@ def _premise_bindings(mapping: LogicalMapping, source: Instance):
                     break
         if ok:
             for equality in mapping.premise.equalities:
-                if _eval_term(equality.left, bindings) != _eval_term(
+                if eval_term(equality.left, bindings) != eval_term(
                     equality.right, bindings
                 ):
                     ok = False
                     break
         if ok:
             for disequality in mapping.premise.disequalities:
-                if _eval_term(disequality.left, bindings) == _eval_term(
+                if eval_term(disequality.left, bindings) == eval_term(
                     disequality.right, bindings
                 ):
                     ok = False

@@ -19,8 +19,7 @@ Three instrument types:
 Registries **merge**: counters and histogram buckets add, gauges take the
 other side's last write.  Merging is associative (property-tested in
 ``tests/test_obs_metrics.py``), which is what lets per-run scopes
-(:meth:`MetricsRegistry.run_scope`) and ``workers=N`` subprocesses
-(:mod:`repro.datalog.exec.workers`) fold their samples into the
+(:meth:`MetricsRegistry.run_scope`) fold their samples into the
 process-wide registry in any order.
 
 Instrumentation sites use the module-level helpers, which dispatch through

@@ -434,12 +434,6 @@ class TestEngineFlag:
         ]) == 0
         assert capsys.readouterr().out == reference
 
-    def test_workers_requires_batch_engine(self, problem_file, instance_file, capsys):
-        assert main([
-            "run", problem_file, instance_file, "--workers", "2",
-        ]) == 2
-        assert "--workers" in capsys.readouterr().err
-
 
 class TestPlanCommand:
     def test_plan_problem_file(self, problem_file, capsys):

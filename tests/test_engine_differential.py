@@ -12,8 +12,7 @@ isomorphism (`repro.model.diff.diff_up_to_invented`) — on:
 * the synthetic CARS workloads the scaling benchmarks sweep.
 
 The batch engine must also reproduce the reference engine's intermediate
-relations and per-rule counts, and its opt-in ``workers=N`` mode must change
-nothing but wall time.
+relations and per-rule counts.
 """
 
 from __future__ import annotations
@@ -125,29 +124,3 @@ class TestSyntheticWorkloads:
         result = _assert_agreement(program, source, f"{label} n={size}")
         assert result.target.total_size() > 0
 
-
-@pytest.mark.serial
-class TestWorkersMode:
-    """workers=N partitions the outer scan without changing the answer."""
-
-    def test_partitioned_run_matches_inline(self):
-        program = MappingSystem(figure1_problem()).transformation
-        source = cars3_instance(n_persons=60, n_cars=120, ownership=0.6, seed=9)
-        inline = evaluate_batch(program, source)
-        # min_partition_rows=1 forces every rule through the process pool.
-        partitioned = evaluate_batch(
-            program, source, workers=2, min_partition_rows=1
-        )
-        assert inline.target == partitioned.target
-        assert diff_up_to_invented(inline.target, partitioned.target).empty
-        for name, rows in inline.intermediates.items():
-            assert set(rows) == set(partitioned.intermediates[name]), name
-        assert inline.rule_counts == partitioned.rule_counts
-
-    def test_small_scans_stay_inline(self):
-        """Below the partition threshold workers=N must not spawn a pool."""
-        program = MappingSystem(figure12_problem()).transformation
-        source = cars4_instance(n_persons=10, n_cars=20, seed=4)
-        reference = evaluate(program, source)
-        partitioned = evaluate_batch(program, source, workers=4)
-        assert reference.target == partitioned.target

@@ -5,7 +5,6 @@ import pytest
 from repro.core.pipeline import MappingSystem
 from repro.datalog.exec import (
     BatchStore,
-    Interner,
     evaluate_batch,
     order_atoms,
     plan_program,
@@ -66,21 +65,6 @@ class TestOrderAtoms:
         )
         stats = {"A": 5, "B": 7, "C": 2}
         assert order_atoms(atoms, stats) == order_atoms(atoms, stats)
-
-
-class TestInterner:
-    def test_equal_values_become_one_object(self):
-        interner = Interner()
-        a = interner.intern("x" * 40)
-        b = interner.intern("xxxxx" * 8)
-        assert a == b and a is b
-
-    def test_intern_row(self):
-        interner = Interner()
-        row1 = interner.intern_row(("k1", 1))
-        row2 = interner.intern_row(("k" + "1", 1))
-        assert row1 == row2
-        assert row1[0] is row2[0]
 
 
 class TestBatchStore:

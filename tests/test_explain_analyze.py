@@ -8,16 +8,15 @@ The differential invariants pinned here (see
 * a rule's ``rows_unique`` equals the engine's ``rule_counts`` entry;
 * a stratum's ``rows`` equals the materialized relation's size after
   cross-rule deduplication;
-* ``workers=2`` and serial runs agree on every *rows* metric family
-  (``eval.batches`` and index hit/miss counts legitimately differ — each
-  worker batches and indexes its own slice).
+* collecting the profile changes neither the result nor the tracer's
+  ``eval.batches`` and ``eval.index_reuse`` counters.
 """
 
 import pytest
 
 from repro.core.pipeline import MappingSystem
 from repro.datalog.engine import evaluate
-from repro.datalog.exec import evaluate_batch
+from repro.datalog.exec import BATCH_SIZE, evaluate_batch
 from repro.model.instance import Instance
 from repro.model.values import NULL
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
@@ -159,67 +158,32 @@ def test_metrics_registry_implies_collection():
     assert registry.counter("exec.batches").value(engine="batch") > 0
 
 
-def _rows_families(registry: MetricsRegistry) -> dict:
-    """The row-count samples that must be identical serial vs workers."""
-    out = {}
-    for name in ("eval.rows", "exec.operator.rows_in", "exec.operator.rows_out"):
-        counter = registry.get(name)
-        assert counter is not None, name
-        out[name] = {
-            tuple(sorted(s["labels"].items())): s["value"]
-            for s in counter.samples()
-        }
-    return out
 
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_analyze_changes_no_result_or_counter(name):
+    """Measuring runs the same loop: only the profile may differ.
 
-@pytest.mark.serial
-class TestWorkersProfile:
-    """Partitioned evaluation: merged profiles and merged counters."""
-
-    def _source(self):
-        return cars3_instance(n_persons=60, n_cars=120, ownership=0.6, seed=9)
-
-    def test_workers_profile_stays_consistent(self):
-        program = MappingSystem(figure1_problem()).transformation
-        result = evaluate_batch(
-            program, self._source(), workers=2, min_partition_rows=1, analyze=True
-        )
-        profile = result.profile
-        assert profile is not None
-        assert profile.workers == 2
-        assert_consistent(profile, result, program)
-        assert "workers=2" in profile.render()
-
-    def test_workers_rows_metrics_equal_serial(self):
-        """Acceptance: every rows family agrees between workers=2 and serial."""
-        program = MappingSystem(figure1_problem()).transformation
-        source = self._source()
-        serial, partitioned = MetricsRegistry(), MetricsRegistry()
-        with use_metrics(serial):
-            evaluate_batch(program, source, analyze=True)
-        with use_metrics(partitioned):
-            evaluate_batch(
-                program, source, workers=2, min_partition_rows=1, analyze=True
+    The source spans more than one scan batch, so the per-batch
+    bookkeeping of the measured run is exercised too.
+    """
+    problem = bundled_problems()[name]
+    program = MappingSystem(problem).transformation
+    source = synthetic_source(problem, rows=BATCH_SIZE + 1)
+    runs = []
+    for analyze in (False, True):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = evaluate_batch(program, source, analyze=analyze)
+        assert (result.profile is not None) == analyze
+        counters = tracer.counters
+        runs.append(
+            (
+                result.target,
+                result.intermediates,
+                result.rule_counts,
+                counters.get("eval.batches"),
+                counters.get("eval.index_reuse", 0),
             )
-        assert _rows_families(serial) == _rows_families(partitioned)
-
-    def test_worker_tracer_counters_are_merged(self):
-        """Regression: pool workers' tracer counters used to be dropped.
-
-        ``_run_slice`` now runs under a private tracer and ships its counters
-        back for the parent to replay, so ``eval.batches`` (counted once per
-        batch, inside the workers) must exceed the serial count of the
-        parent process alone.
-        """
-        program = MappingSystem(figure1_problem()).transformation
-        source = self._source()
-        serial_tracer, worker_tracer = Tracer(), Tracer()
-        with use_tracer(serial_tracer):
-            evaluate_batch(program, source)
-        with use_tracer(worker_tracer):
-            evaluate_batch(program, source, workers=2, min_partition_rows=1)
-        assert worker_tracer.counters.get("eval.batches", 0) > 0
-        # Both slices of every partitioned scan count their own batches.
-        assert worker_tracer.counters["eval.batches"] >= serial_tracer.counters[
-            "eval.batches"
-        ]
+        )
+    plain, measured = runs
+    assert plain == measured
