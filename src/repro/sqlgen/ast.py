@@ -451,6 +451,22 @@ class CreateTable(SqlStatement):
         return f"CREATE TABLE {dialect.quote(self.name)} ({body})"
 
 
+@dataclass(frozen=True)
+class CreateIndex(SqlStatement):
+    """``CREATE INDEX name ON table (col, ...)`` — keys the ``NOT EXISTS`` probes."""
+
+    name: str
+    table: str
+    columns: tuple[str, ...]
+
+    def render(self, dialect: Dialect) -> str:
+        columns = ", ".join(dialect.quote(column) for column in self.columns)
+        return (
+            f"CREATE INDEX {dialect.quote(self.name)} "
+            f"ON {dialect.quote(self.table)} ({columns})"
+        )
+
+
 #: Dedup policies of :class:`InsertSelect`.  ``"except"`` subtracts the
 #: rows already present (SQL set operations treat NULLs as equal, like the
 #: engine), which keeps set semantics across the several rules feeding one

@@ -3,7 +3,11 @@
 :func:`compile_program` turns a validated :class:`DatalogProgram` into one
 :class:`SqlPipeline` — intermediate DDL first, then one ``INSERT``
 statement per rule, grouped by stratum in stratification order (stable
-within each relation, so the pipeline is deterministic).  Every statement
+within each relation, so the pipeline is deterministic).  Each intermediate
+that some rule negates gets a ``CREATE INDEX`` over all of its columns
+right after its ``CREATE TABLE``: a negated atom binds every position, so
+the index turns each correlated ``NOT EXISTS`` probe from a scan into a
+lookup — without it the antijoin is quadratic.  Every statement
 keeps a handle to the rule it was compiled from plus its read/write sets;
 the ``sqlcheck`` validator uses the rule to prove the round-trip and the
 read/write sets to prove the ordering sound.
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 from ..datalog.program import DatalogProgram, Rule
 from ..datalog.stratify import stratify
-from .ast import Dialect, SQLITE, SqlStatement
+from .ast import CreateIndex, Dialect, SQLITE, SqlStatement
 from .queries import intermediate_tables, rule_insert
 
 
@@ -26,7 +30,8 @@ from .queries import intermediate_tables, rule_insert
 class CompiledStatement:
     """One statement of a compiled pipeline.
 
-    ``kind`` is ``"create"`` (intermediate DDL, ``rule`` is None) or
+    ``kind`` is ``"create"`` (intermediate DDL, ``rule`` is None),
+    ``"index"`` (an index on a negated intermediate, ``rule`` is None) or
     ``"insert"`` (per-rule, ``rule`` is the originating Datalog rule).
     ``reads``/``writes`` are the relations the statement consumes and
     produces; ``stratum`` is the head relation's position in the
@@ -72,18 +77,59 @@ def _rule_reads(rule: Rule) -> tuple[str, ...]:
     return tuple(seen)
 
 
+def _negation_indexes(program: DatalogProgram) -> dict[str, CreateIndex]:
+    """One all-column index per intermediate some rule reads under negation.
+
+    Tables and indexes share one case-insensitive namespace on SQLite, so
+    each name is ``<relation>_idx`` extended with ``_`` until it differs
+    from every relation of the program and every index chosen before it.
+    """
+    negated = {
+        atom.relation
+        for rule in program.rules
+        for atom in rule.negated
+        if atom.relation in program.intermediates
+    }
+    taken = {name.casefold() for name in program.intermediates}
+    for schema in (program.source_schema, program.target_schema):
+        if schema is not None:
+            taken.update(relation.name.casefold() for relation in schema)
+    indexes: dict[str, CreateIndex] = {}
+    for relation, arity in program.intermediates.items():
+        if relation not in negated:
+            continue
+        name = f"{relation}_idx"
+        while name.casefold() in taken:
+            name += "_"
+        taken.add(name.casefold())
+        columns = tuple(f"c{i}" for i in range(arity))
+        indexes[relation] = CreateIndex(name, relation, columns)
+    return indexes
+
+
 def compile_program(program: DatalogProgram) -> SqlPipeline:
     """Compile ``program`` into its stratified SQL pipeline."""
     order = {name: i for i, name in enumerate(stratify(program))}
-    statements: list[CompiledStatement] = [
-        CompiledStatement(
-            kind="create",
-            node=table,
-            stratum=order[table.name],
-            writes=table.name,
+    indexes = _negation_indexes(program)
+    statements: list[CompiledStatement] = []
+    for table in intermediate_tables(program):
+        statements.append(
+            CompiledStatement(
+                kind="create",
+                node=table,
+                stratum=order[table.name],
+                writes=table.name,
+            )
         )
-        for table in intermediate_tables(program)
-    ]
+        if table.name in indexes:
+            statements.append(
+                CompiledStatement(
+                    kind="index",
+                    node=indexes[table.name],
+                    stratum=order[table.name],
+                    writes=table.name,
+                )
+            )
     for rule in sorted(program.rules, key=lambda r: order[r.head_relation]):
         statements.append(
             CompiledStatement(

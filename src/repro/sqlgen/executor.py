@@ -60,15 +60,23 @@ class _PipelineExecutor:
         connection.execute(sql, *args)
 
     def _load_instance(self, connection: Any, instance: Instance) -> None:
+        """Create the source tables and fill each with one ``executemany``.
+
+        Rows are encoded as the driver consumes them, so no encoded copy of
+        the instance is built; the trace gets one load statement per
+        relation.
+        """
         for statement in schema_ddl(instance.schema, enforce=False):
             self._execute(connection, statement)
         for name, relation in instance.relations.items():
             arity = relation.schema.arity
             placeholders = ", ".join(["?"] * arity)
             sql = f"INSERT INTO {quote_identifier(name)} VALUES ({placeholders})"
-            for row in relation.rows:
-                self.trace.statements.append(sql)
-                connection.execute(sql, tuple(encode_value(v) for v in row))
+            self.trace.statements.append(sql)
+            connection.executemany(
+                sql,
+                (tuple(encode_value(v) for v in row) for row in relation.rows),
+            )
 
     def run(self, program: DatalogProgram, source: Instance) -> Instance:
         """Execute the compiled pipeline and return the decoded target instance."""

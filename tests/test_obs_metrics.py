@@ -1,8 +1,7 @@
 """The typed metrics registry: instruments, merging, scopes and exporters.
 
 The merge-associativity and bucket-monotonicity properties asserted here are
-what make the worker fan-in of ``repro.datalog.exec.workers`` and the
-``run_scope`` fold of ``MappingSystem`` correct in any order.
+what make the ``run_scope`` fold of ``MappingSystem`` correct in any order.
 """
 
 import json

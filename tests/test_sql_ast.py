@@ -7,6 +7,7 @@ from repro.model.values import NULL, LabeledNull
 from repro.sqlgen.ast import (
     Cmp,
     Col,
+    CreateIndex,
     CreateTable,
     DUCKDB,
     InsertSelect,
@@ -110,6 +111,12 @@ class TestStatements:
         assert statement.render(SQLITE) == (
             'CREATE TABLE "tmp" ("c0" TEXT, "c1" TEXT)'
         )
+
+    def test_create_index(self):
+        statement = CreateIndex('ix"1', 'we"ird', ("c0", 'c"1'))
+        expected = 'CREATE INDEX "ix""1" ON "we""ird" ("c0", "c""1")'
+        assert statement.render(SQLITE) == expected
+        assert statement.render(DUCKDB) == expected
 
     def test_not_exists(self):
         subquery = Select(

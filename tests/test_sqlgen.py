@@ -1,13 +1,18 @@
 """Tests for the SQL backend: value encoding, DDL, translation, execution."""
 
+import re
+from dataclasses import replace
+
 import pytest
 import sqlite3
 
 from repro.core.pipeline import MappingSystem
 from repro.core.schema_mapping import BASIC
 from repro.errors import EvaluationError
+from repro.model.instance import Instance
 from repro.model.values import NULL, LabeledNull
-from repro.scenarios import cars
+from repro.scenarios import bundled_problems, cars, synthetic
+from repro.sqlgen.compiler import _negation_indexes, compile_program
 from repro.sqlgen.ddl import create_table_sql, quote_identifier, schema_ddl
 from repro.sqlgen.executor import SqliteExecutor, run_on_sqlite
 from repro.sqlgen.queries import program_to_sql, rule_to_sql, sql_literal
@@ -88,9 +93,19 @@ class TestTranslation:
     def test_program_to_sql_statement_count(self, figure1_problem):
         program = MappingSystem(figure1_problem).transformation
         statements = program_to_sql(program)
-        # 1 CREATE tmp + 4 inserts.
-        assert len(statements) == 5
-        assert statements[0].startswith("CREATE TABLE")
+        # 1 CREATE tmp + its NOT EXISTS index + 4 inserts.
+        assert len(statements) == 6
+        assert statements[0].startswith('CREATE TABLE "OCtmp"')
+        assert statements[1] == 'CREATE INDEX "OCtmp_idx" ON "OCtmp" ("c0")'
+
+    def test_index_name_avoids_every_relation(self, figure1_problem):
+        # Tables and indexes share one case-insensitive namespace on SQLite.
+        program = MappingSystem(figure1_problem).transformation
+        crowded = replace(
+            program,
+            intermediates={**program.intermediates, "octmp_IDX": 1, "OCtmp_idx_": 1},
+        )
+        assert _negation_indexes(crowded)["OCtmp"].name == "OCtmp_idx__"
 
     def test_negation_becomes_not_exists(self, figure1_problem):
         program = MappingSystem(figure1_problem).transformation
@@ -162,3 +177,99 @@ class TestConstraintEnforcement:
         executor.run(system.transformation, cars3_instance)
         assert any("INSERT INTO" in s for s in executor.trace.statements)
         assert any(s.startswith("CREATE TABLE") for s in executor.trace.statements)
+
+
+class _PlanningExecutor(SqliteExecutor):
+    """Reads ``EXPLAIN QUERY PLAN`` of every NOT EXISTS insert after the run."""
+
+    def __init__(self, pipeline):
+        super().__init__()
+        self.pipeline = pipeline
+        self.plans = {}
+
+    def _read_target(self, connection, target_schema):
+        for statement in self.pipeline.inserts():
+            sql = statement.sql()
+            if "NOT EXISTS" in sql:
+                rows = connection.execute(f"EXPLAIN QUERY PLAN {sql}")
+                self.plans[sql] = [
+                    (node, parent, detail) for node, parent, _, detail in rows
+                ]
+        return super()._read_target(connection, target_schema)
+
+
+def _correlated_steps(plan):
+    """The plan steps nested under a correlated subquery."""
+    details = {node: detail for node, _, detail in plan}
+    parents = {node: parent for node, parent, _ in plan}
+    steps = []
+    for node, parent, detail in plan:
+        while parent in details:
+            if details[parent].startswith("CORRELATED"):
+                steps.append(detail)
+                break
+            parent = parents[parent]
+    return steps
+
+
+class TestAntijoinQueryPlans:
+    """No NOT EXISTS probe scans the negated relation: it uses the index."""
+
+    @pytest.mark.parametrize("name", sorted(bundled_problems()))
+    def test_negation_probes_search_an_index(self, name):
+        program = MappingSystem(bundled_problems()[name]).transformation
+        executor = _PlanningExecutor(compile_program(program))
+        executor.run(program, Instance(program.source_schema))
+        for sql, plan in executor.plans.items():
+            steps = _correlated_steps(plan)
+            assert steps, sql
+            # "SCAN n" (or "SCAN TABLE x AS n" on older SQLite) is a full
+            # pass over the negated relation per outer row.
+            scans = [s for s in steps if re.match(r"SCAN (TABLE \S+ AS )?n\b", s)]
+            assert not scans, f"{sql}\n{plan}"
+
+
+class _CountingExecutor(SqliteExecutor):
+    """Counts the SQLite virtual-machine steps of one run."""
+
+    STEP = 100
+
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+
+    def _connect(self):
+        connection = super()._connect()
+        connection.set_progress_handler(self._tick, self.STEP)
+        return connection
+
+    def _tick(self):
+        self.steps += self.STEP
+        return 0
+
+
+class TestSqliteGrowth:
+    """4x the cars costs at most 6x the VM steps: the antijoins are not quadratic.
+
+    Step counts, not timings, so the bound is exact and not noisy.  Before
+    the negated intermediates were indexed, figures 1 and 12 grew ~15x.
+    """
+
+    CASES = [
+        (cars.figure1_problem, synthetic.cars3_instance),
+        (cars.figure12_problem, synthetic.cars4_instance),
+        (cars.figure14_problem, synthetic.cars2_instance),
+    ]
+
+    @staticmethod
+    def _steps(program, make_instance, n_cars):
+        executor = _CountingExecutor()
+        executor.run(program, make_instance(n_cars // 2, n_cars, seed=1))
+        return executor.steps
+
+    @pytest.mark.parametrize("make_problem,make_instance", CASES)
+    def test_steps_grow_linearly(self, make_problem, make_instance):
+        program = MappingSystem(make_problem()).transformation
+        small = self._steps(program, make_instance, 400)
+        large = self._steps(program, make_instance, 1600)
+        assert large / small <= 6, (small, large)
