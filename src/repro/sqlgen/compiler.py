@@ -77,8 +77,8 @@ def _rule_reads(rule: Rule) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def _negation_indexes(program: DatalogProgram) -> dict[str, CreateIndex]:
-    """One all-column index per intermediate some rule reads under negation.
+def _negation_index_names(program: DatalogProgram) -> dict[str, str]:
+    """Index names for the intermediates some rule reads under negation.
 
     Tables and indexes share one case-insensitive namespace on SQLite, so
     each name is ``<relation>_idx`` extended with ``_`` until it differs
@@ -94,23 +94,22 @@ def _negation_indexes(program: DatalogProgram) -> dict[str, CreateIndex]:
     for schema in (program.source_schema, program.target_schema):
         if schema is not None:
             taken.update(relation.name.casefold() for relation in schema)
-    indexes: dict[str, CreateIndex] = {}
-    for relation, arity in program.intermediates.items():
+    names: dict[str, str] = {}
+    for relation in program.intermediates:
         if relation not in negated:
             continue
         name = f"{relation}_idx"
         while name.casefold() in taken:
             name += "_"
         taken.add(name.casefold())
-        columns = tuple(f"c{i}" for i in range(arity))
-        indexes[relation] = CreateIndex(name, relation, columns)
-    return indexes
+        names[relation] = name
+    return names
 
 
 def compile_program(program: DatalogProgram) -> SqlPipeline:
     """Compile ``program`` into its stratified SQL pipeline."""
     order = {name: i for i, name in enumerate(stratify(program))}
-    indexes = _negation_indexes(program)
+    index_names = _negation_index_names(program)
     statements: list[CompiledStatement] = []
     for table in intermediate_tables(program):
         statements.append(
@@ -121,11 +120,12 @@ def compile_program(program: DatalogProgram) -> SqlPipeline:
                 writes=table.name,
             )
         )
-        if table.name in indexes:
+        if table.name in index_names:
+            columns = tuple(column for column, _ in table.columns)
             statements.append(
                 CompiledStatement(
                     kind="index",
-                    node=indexes[table.name],
+                    node=CreateIndex(index_names[table.name], table.name, columns),
                     stratum=order[table.name],
                     writes=table.name,
                 )

@@ -62,13 +62,14 @@ class _PipelineExecutor:
     def _load_instance(self, connection: Any, instance: Instance) -> None:
         """Create the source tables and fill each with one ``executemany``.
 
-        Rows are encoded as the driver consumes them, so no encoded copy of
-        the instance is built; the trace gets one load statement per
-        relation.
+        The trace gets one load statement per non-empty relation.  Empty
+        relations are skipped: DuckDB rejects ``executemany`` with no rows.
         """
         for statement in schema_ddl(instance.schema, enforce=False):
             self._execute(connection, statement)
         for name, relation in instance.relations.items():
+            if not relation.rows:
+                continue
             arity = relation.schema.arity
             placeholders = ", ".join(["?"] * arity)
             sql = f"INSERT INTO {quote_identifier(name)} VALUES ({placeholders})"

@@ -12,7 +12,7 @@ from repro.errors import EvaluationError
 from repro.model.instance import Instance
 from repro.model.values import NULL, LabeledNull
 from repro.scenarios import bundled_problems, cars, synthetic
-from repro.sqlgen.compiler import _negation_indexes, compile_program
+from repro.sqlgen.compiler import _negation_index_names, compile_program
 from repro.sqlgen.ddl import create_table_sql, quote_identifier, schema_ddl
 from repro.sqlgen.executor import SqliteExecutor, run_on_sqlite
 from repro.sqlgen.queries import program_to_sql, rule_to_sql, sql_literal
@@ -105,7 +105,7 @@ class TestTranslation:
             program,
             intermediates={**program.intermediates, "octmp_IDX": 1, "OCtmp_idx_": 1},
         )
-        assert _negation_indexes(crowded)["OCtmp"].name == "OCtmp_idx__"
+        assert _negation_index_names(crowded)["OCtmp"] == "OCtmp_idx__"
 
     def test_negation_becomes_not_exists(self, figure1_problem):
         program = MappingSystem(figure1_problem).transformation
@@ -177,6 +177,35 @@ class TestConstraintEnforcement:
         executor.run(system.transformation, cars3_instance)
         assert any("INSERT INTO" in s for s in executor.trace.statements)
         assert any(s.startswith("CREATE TABLE") for s in executor.trace.statements)
+
+    def test_load_skips_empty_relations(self, figure1_problem, cars3_instance):
+        # DuckDB's executemany rejects an empty parameter list; the load
+        # must not hand one to the driver.
+        class _NoEmptyBatches:
+            def __init__(self, connection):
+                self.connection = connection
+
+            def executemany(self, sql, rows):
+                rows = list(rows)
+                assert rows, f"executemany with no rows: {sql}"
+                return self.connection.executemany(sql, rows)
+
+            def __getattr__(self, name):
+                return getattr(self.connection, name)
+
+        class _Executor(SqliteExecutor):
+            def _connect(self):
+                return _NoEmptyBatches(super()._connect())
+
+        system = MappingSystem(figure1_problem)
+        source = Instance(cars3_instance.schema)
+        for row in cars3_instance.relation("P3").rows:
+            source.add("P3", row)
+        executor = _Executor()
+        result = executor.run(system.transformation, source)
+        assert result == system.transform(source)
+        loads = [s for s in executor.trace.statements if "VALUES (?" in s]
+        assert loads == ['INSERT INTO "P3" VALUES (?, ?, ?)']
 
 
 class _PlanningExecutor(SqliteExecutor):
