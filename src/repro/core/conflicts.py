@@ -17,13 +17,13 @@ paper's resolution strategy prefers ``c ≻ n ≻ i``:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..logic.mappings import UnitaryMapping
-from ..logic.satisfiability import check_equal_and_differ
 from ..logic.terms import Constant, NullTerm, SkolemTerm, Term, Variable
-from ..model.schema import Schema
+from ..model.schema import RelationSchema, Schema
 from ..obs import count
-from .functionality import rename_unitary
+from .functionality import differing_positions, rename_unitary
 
 COPY = "c"
 NULL_KIND = "n"
@@ -90,48 +90,31 @@ def find_key_conflicts(
     """
     if left.consequent.relation != right.consequent.relation:
         return []
-    renamed = rename_unitary(right)
     relation = target_schema.relation(left.consequent.relation)
-    key_positions = relation.key_positions()
+    return _pair_conflicts(left, right, rename_unitary(right), relation, source_schema)
 
-    atoms = list(left.premise.atoms) + list(renamed.premise.atoms)
-    equalities: list[tuple[Term, Term]] = [
-        (left.consequent.terms[p], renamed.consequent.terms[p]) for p in key_positions
-    ]
-    for source in (left.premise, renamed.premise):
-        equalities.extend((e.left, e.right) for e in source.equalities)
-    null_terms = list(left.premise.null_vars) + list(renamed.premise.null_vars)
-    nonnull_terms = list(left.premise.nonnull_vars) + list(renamed.premise.nonnull_vars)
-    disequalities = [
-        (d.left, d.right)
-        for source in (left.premise, renamed.premise)
-        for d in source.disequalities
-    ]
 
+def _pair_conflicts(
+    left: UnitaryMapping,
+    right: UnitaryMapping,
+    renamed: UnitaryMapping,
+    relation: RelationSchema,
+    source_schema: Schema,
+) -> list[KeyConflict]:
+    """The key conflicts of one pair, ``renamed`` being ``right`` renamed apart."""
     conflicts: list[KeyConflict] = []
-    for position in range(relation.arity):
-        if position in key_positions:
-            continue
+    for position in differing_positions(left, renamed, source_schema, relation):
         left_term = left.consequent.terms[position]
         right_term = renamed.consequent.terms[position]
-        if check_equal_and_differ(
-            atoms,
-            source_schema,
-            equalities,
-            (left_term, right_term),
-            null_terms,
-            nonnull_terms,
-            disequalities=disequalities,
-        ):
-            conflict = KeyConflict(
-                left=left,
-                right=right,
-                attribute=relation.attributes[position].name,
-                left_kind=term_kind(left_term),
-                right_kind=term_kind(right_term),
-            )
-            count("conflicts.hard" if conflict.is_hard else "conflicts.soft")
-            conflicts.append(conflict)
+        conflict = KeyConflict(
+            left=left,
+            right=right,
+            attribute=relation.attributes[position].name,
+            left_kind=term_kind(left_term),
+            right_kind=term_kind(right_term),
+        )
+        count("conflicts.hard" if conflict.is_hard else "conflicts.soft")
+        conflicts.append(conflict)
     return conflicts
 
 
@@ -145,17 +128,39 @@ def conflicting_sets(
     return groups
 
 
+def conflicts_in_group(
+    group: list[UnitaryMapping],
+    source_schema: Schema,
+    target_schema: Schema,
+) -> Iterator[tuple[int, int, KeyConflict]]:
+    """``(i, j, conflict)`` for every key conflict of ``group[i]`` with
+    ``group[j]``, ``i < j``, in one conflicting set.
+
+    Pairs come in ``(i, j)`` order and each pair is decided in full before
+    its conflicts are yielded.  Every member that is ever on the right is
+    renamed apart once for all its pairs.
+    """
+    if len(group) < 2:
+        return
+    relation = target_schema.relation(group[0].consequent.relation)
+    # renamed[j - 1] is group[j] renamed apart; group[0] is never on the right.
+    renamed = [rename_unitary(mapping) for mapping in group[1:]]
+    for i, left in enumerate(group):
+        for j in range(i + 1, len(group)):
+            for conflict in _pair_conflicts(
+                left, group[j], renamed[j - 1], relation, source_schema
+            ):
+                yield i, j, conflict
+
+
 def find_all_conflicts(
     mappings: list[UnitaryMapping],
     source_schema: Schema,
     target_schema: Schema,
 ) -> list[KeyConflict]:
     """All pairwise key conflicts inside every conflicting set."""
-    conflicts: list[KeyConflict] = []
-    for group in conflicting_sets(mappings).values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                conflicts.extend(
-                    find_key_conflicts(group[i], group[j], source_schema, target_schema)
-                )
-    return conflicts
+    return [
+        conflict
+        for group in conflicting_sets(mappings).values()
+        for _, _, conflict in conflicts_in_group(group, source_schema, target_schema)
+    ]

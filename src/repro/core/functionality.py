@@ -6,19 +6,23 @@ non-key position ``v`` the query ``φ(k, v) ∧ φ(k', v') ∧ k = k' ∧ v ≠ 
 must be unsatisfiable over instances satisfying the source constraints.
 
 The check doubles the premise with fresh variables, equates the two copies'
-key terms (decomposing Skolem terms via injectivity) and asks the
-congruence-closure engine whether the non-key terms can still differ.
+key terms (decomposing Skolem terms via injectivity), closes that premise
+once and asks the congruence-closure engine, per non-key position, whether
+the two terms can still differ.  The key-conflict check of
+:mod:`repro.core.conflicts` asks the same questions of a mapping pair
+through :func:`differing_positions`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..errors import NonFunctionalMappingError
 from ..logic.mappings import Premise, UnitaryMapping
-from ..logic.satisfiability import check_equal_and_differ
+from ..logic.satisfiability import close_premise
 from ..logic.terms import Term, Variable
-from ..model.schema import Schema
+from ..model.schema import RelationSchema, Schema
 from ..obs import count, span
 
 
@@ -45,6 +49,51 @@ def rename_unitary(mapping: UnitaryMapping) -> UnitaryMapping:
     )
 
 
+def differing_positions(
+    left: UnitaryMapping,
+    right: UnitaryMapping,
+    source_schema: Schema,
+    relation: RelationSchema,
+) -> Iterator[int]:
+    """The non-key positions of ``relation`` where the two mappings can put
+    different values under one key: ``φ(k, v) ∧ φ'(k', v') ∧ k = k' ∧ v ≠ v'``
+    is satisfiable.
+
+    ``right`` must already be renamed apart from ``left``.  The premise is
+    closed once and then asked one question per position, lazily, so a
+    caller that stops at the first position pays for no more.
+    """
+    key_positions = relation.key_positions()
+    positions = [p for p in range(relation.arity) if p not in key_positions]
+    if not positions:
+        return
+    equalities: list[tuple[Term, Term]] = [
+        (left.consequent.terms[p], right.consequent.terms[p]) for p in key_positions
+    ]
+    for source in (left.premise, right.premise):
+        equalities.extend((e.left, e.right) for e in source.equalities)
+    solver = close_premise(
+        list(left.premise.atoms) + list(right.premise.atoms),
+        source_schema,
+        equalities,
+        list(left.premise.null_vars) + list(right.premise.null_vars),
+        list(left.premise.nonnull_vars) + list(right.premise.nonnull_vars),
+        [
+            (d.left, d.right)
+            for source in (left.premise, right.premise)
+            for d in source.disequalities
+        ],
+    )
+    if solver is None:
+        # An unsatisfiable premise decides every position at once.
+        count("satisfiability.checks", len(positions))
+        return
+    for position in positions:
+        left_term = left.consequent.terms[position]
+        if solver.can_differ(left_term, right.consequent.terms[position]):
+            yield position
+
+
 @dataclass
 class FunctionalityViolation:
     """A witness that a unitary mapping is not functional."""
@@ -67,39 +116,14 @@ def check_functionality(
 ) -> FunctionalityViolation | None:
     """Return a violation witness, or ``None`` when the mapping is functional."""
     count("functionality.checks")
-    copy = rename_unitary(mapping)
     relation = target_schema.relation(mapping.consequent.relation)
-    key_positions = relation.key_positions()
-
-    atoms = list(mapping.premise.atoms) + list(copy.premise.atoms)
-    equalities: list[tuple[Term, Term]] = [
-        (mapping.consequent.terms[p], copy.consequent.terms[p]) for p in key_positions
-    ]
-    for source in (mapping.premise, copy.premise):
-        equalities.extend((e.left, e.right) for e in source.equalities)
-    null_terms = list(mapping.premise.null_vars) + list(copy.premise.null_vars)
-    nonnull_terms = list(mapping.premise.nonnull_vars) + list(copy.premise.nonnull_vars)
-    disequalities = [
-        (d.left, d.right)
-        for source in (mapping.premise, copy.premise)
-        for d in source.disequalities
-    ]
-
-    for position in range(relation.arity):
-        if position in key_positions:
-            continue
-        differ = (mapping.consequent.terms[position], copy.consequent.terms[position])
-        if check_equal_and_differ(
-            atoms,
-            source_schema,
-            equalities,
-            differ,
-            null_terms,
-            nonnull_terms,
-            disequalities=disequalities,
-        ):
-            return FunctionalityViolation(mapping, relation.attributes[position].name)
-    return None
+    position = next(
+        differing_positions(mapping, rename_unitary(mapping), source_schema, relation),
+        None,
+    )
+    if position is None:
+        return None
+    return FunctionalityViolation(mapping, relation.attributes[position].name)
 
 
 def assert_all_functional(

@@ -36,7 +36,7 @@ from .conflicts import (
     NULL_KIND,
     KeyConflict,
     conflicting_sets,
-    find_key_conflicts,
+    conflicts_in_group,
     term_kind,
 )
 
@@ -204,50 +204,39 @@ def _resolve_key_conflicts(
     fused_mappings: list[UnitaryMapping] = []
 
     for relation_name, group in conflicting_sets(mappings).items():
-        if len(group) < 2:
-            continue
         # -- identify ------------------------------------------------------
         preferred_over: dict[tuple[int, int], set[str]] = {}
         group_conflicts: list[KeyConflict] = []
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                for conflict in find_key_conflicts(
-                    group[i], group[j], source_schema, target_schema
-                ):
-                    group_conflicts.append(conflict)
-                    if conflict.is_hard:
-                        from ..analysis.diagnostics import diagnostic
+        for i, j, conflict in conflicts_in_group(group, source_schema, target_schema):
+            group_conflicts.append(conflict)
+            if conflict.is_hard:
+                from ..analysis.diagnostics import diagnostic
 
-                        message = (
-                            f"hard key conflict: {conflict} — both mappings copy "
-                            "source values into the same key"
-                        )
-                        raise HardKeyConflictError(
-                            message,
-                            diagnostic=diagnostic(
-                                "MAP002",
-                                message,
-                                subject=f"{relation_name}.{conflict.attribute}",
-                            ),
-                        )
-                    if conflict.preferred == "left":
-                        preferred_over.setdefault((i, j), set()).add(conflict.attribute)
-                    elif conflict.preferred == "right":
-                        preferred_over.setdefault((j, i), set()).add(conflict.attribute)
-                    else:  # equal-preference invent/invent: unify the functors
-                        left_term = conflict.left.consequent.terms[
-                            target_schema.relation(relation_name).position(
-                                conflict.attribute
-                            )
-                        ]
-                        right_term = conflict.right.consequent.terms[
-                            target_schema.relation(relation_name).position(
-                                conflict.attribute
-                            )
-                        ]
-                        assert isinstance(left_term, SkolemTerm)
-                        assert isinstance(right_term, SkolemTerm)
-                        unifier.unify(left_term.functor, right_term.functor)
+                message = (
+                    f"hard key conflict: {conflict} — both mappings copy "
+                    "source values into the same key"
+                )
+                raise HardKeyConflictError(
+                    message,
+                    diagnostic=diagnostic(
+                        "MAP002",
+                        message,
+                        subject=f"{relation_name}.{conflict.attribute}",
+                    ),
+                )
+            if conflict.preferred == "left":
+                preferred_over.setdefault((i, j), set()).add(conflict.attribute)
+            elif conflict.preferred == "right":
+                preferred_over.setdefault((j, i), set()).add(conflict.attribute)
+            else:  # equal-preference invent/invent: unify the functors
+                position = target_schema.relation(relation_name).position(
+                    conflict.attribute
+                )
+                left_term = conflict.left.consequent.terms[position]
+                right_term = conflict.right.consequent.terms[position]
+                assert isinstance(left_term, SkolemTerm)
+                assert isinstance(right_term, SkolemTerm)
+                unifier.unify(left_term.functor, right_term.functor)
         report.conflicts.extend(group_conflicts)
         if not group_conflicts:
             continue

@@ -3,7 +3,7 @@
 from .atoms import Equality, NegatedPremise, RelationalAtom, atoms_variables, iter_positions
 from .homomorphism import embeds, find_homomorphism
 from .mappings import LogicalMapping, Premise, SchemaMapping, UnitaryMapping
-from .satisfiability import SAT, UNSAT, TermSolver, check_equal_and_differ
+from .satisfiability import SAT, UNSAT, TermSolver, check_equal_and_differ, close_premise
 from .tableau import MAND, NONE, NONNULL, NULL, PartialTableau
 from .terms import (
     NULL_TERM,
@@ -44,6 +44,7 @@ __all__ = [
     "VariableFactory",
     "atoms_variables",
     "check_equal_and_differ",
+    "close_premise",
     "embeds",
     "find_homomorphism",
     "is_null_term",

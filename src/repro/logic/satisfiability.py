@@ -20,9 +20,12 @@ The theory implemented here:
   inclusion dependencies never equate terms, so they are irrelevant to these
   checks (premises are already FK-closed by logical-relation generation).
 
-After :meth:`TermSolver.close` the query-so-far is unsatisfiable iff
-``solver.clashed``; a disequality ``t1 ≠ t2`` is additionally satisfiable iff
-the two terms were not forced into the same congruence class.
+:func:`close_premise` closes the premise once and returns ``None`` when it is
+unsatisfiable; a disequality ``t1 ≠ t2`` on top of it is satisfiable iff
+:meth:`TermSolver.can_differ` finds the two terms in different congruence
+classes.  The functionality check asks one closed premise a question per
+non-key attribute of a mapping, and the key-conflict check one per non-key
+attribute of a mapping pair.
 """
 
 from __future__ import annotations
@@ -211,9 +214,83 @@ class TermSolver:
                                 if self.clashed:
                                     return
 
+    # -- consequent questions -------------------------------------------------
+
+    def can_differ(self, left: Term, right: Term) -> bool:
+        """Can ``left ≠ right`` hold on top of the closed premise?
+
+        Registers the two terms, re-runs congruence (they may be fresh
+        Skolem structures) and answers whether they stayed apart.  One
+        closed solver may be asked any number of these questions, in any
+        order: registering a term only adds a fresh class, and congruence
+        can merge a new Skolem term only with one of the same functor
+        whose arguments are already equal.  Such a merge joins two classes
+        that both hold Skolem terms of that functor and no variable,
+        constant or null, so it cannot clash, and its injectivity step
+        equates arguments that are already equal.  The partition of the
+        premise's terms and the ``clashed`` flag therefore never change,
+        and each answer equals that of a fresh closure of the premise.
+        """
+        count("satisfiability.checks")
+        self._register(left)
+        self._register(right)
+        self._congruence_pass()
+        return not self.equal(left, right)
+
 
 SAT = True
 UNSAT = False
+
+
+def close_premise(
+    atoms: Sequence[RelationalAtom],
+    schema: Schema,
+    equalities: Iterable[tuple[Term, Term]],
+    null_terms: Iterable[Term] = (),
+    nonnull_terms: Iterable[Term] = (),
+    disequalities: Iterable[tuple[Term, Term]] = (),
+) -> TermSolver | None:
+    """Close ``atoms ∧ equalities`` once, for any number of ``≠`` questions.
+
+    ``atoms`` are source atoms (their variables are source variables and their
+    mandatory positions are implicitly non-null); key fds of ``schema`` are
+    chased.  Returns the closed solver, or ``None`` when the premise alone is
+    unsatisfiable — a clash, or a premise disequality (a Clio filter) whose
+    two sides are forced equal.  Ask the solver :meth:`TermSolver.can_differ`.
+    """
+    count("satisfiability.closures")
+    solver = TermSolver()
+    for atom in atoms:
+        if atom.relation in schema:
+            relation = schema.relation(atom.relation)
+            for position, term in enumerate(atom.terms):
+                solver._register(term)
+                attr = relation.attributes[position]
+                if not attr.nullable:
+                    solver.assert_nonnull(term)
+                if solver.clashed:
+                    return None
+    for term in null_terms:
+        solver.assert_null(term)
+        if solver.clashed:
+            return None
+    for term in nonnull_terms:
+        solver.assert_nonnull(term)
+        if solver.clashed:
+            return None
+    for left, right in equalities:
+        solver.assert_equal(left, right)
+        if solver.clashed:
+            return None
+    solver.chase_keys(atoms, schema)
+    # Reach the congruence fixpoint even where no merge triggered a pass.
+    solver._congruence_pass()
+    if solver.clashed:
+        return None
+    for a, b in disequalities:
+        if solver.equal(a, b):
+            return None
+    return solver
 
 
 def check_equal_and_differ(
@@ -227,46 +304,13 @@ def check_equal_and_differ(
 ) -> bool:
     """Decide satisfiability of ``atoms ∧ equalities ∧ differ[0] ≠ differ[1]``.
 
-    ``atoms`` are source atoms (their variables are source variables and their
-    mandatory positions are implicitly non-null); key fds of ``schema`` are
-    chased.  Returns :data:`SAT` (True) iff satisfiable.
+    :func:`close_premise` followed by one :meth:`TermSolver.can_differ`.
+    Returns :data:`SAT` (True) iff satisfiable.
     """
-    count("satisfiability.checks")
-    solver = TermSolver()
-    for atom in atoms:
-        if atom.relation in schema:
-            relation = schema.relation(atom.relation)
-            for position, term in enumerate(atom.terms):
-                solver._register(term)
-                attr = relation.attributes[position]
-                if not attr.nullable:
-                    solver.assert_nonnull(term)
-                if solver.clashed:
-                    return UNSAT
-    for term in null_terms:
-        solver.assert_null(term)
-        if solver.clashed:
-            return UNSAT
-    for term in nonnull_terms:
-        solver.assert_nonnull(term)
-        if solver.clashed:
-            return UNSAT
-    for left, right in equalities:
-        solver.assert_equal(left, right)
-        if solver.clashed:
-            return UNSAT
-    solver.chase_keys(atoms, schema)
-    if solver.clashed:
+    solver = close_premise(
+        atoms, schema, equalities, null_terms, nonnull_terms, disequalities
+    )
+    if solver is None:
+        count("satisfiability.checks")
         return UNSAT
-    left, right = differ
-    solver._register(left)
-    solver._register(right)
-    # Re-run congruence in case the differ terms are fresh Skolem structures.
-    solver._congruence_pass()
-    if solver.clashed:
-        return UNSAT
-    # Premise disequalities (Clio filters): a pair forced equal is a clash.
-    for a, b in disequalities:
-        if solver.equal(a, b):
-            return UNSAT
-    return not solver.equal(left, right)
+    return solver.can_differ(*differ)

@@ -286,8 +286,8 @@ class MetricsRegistry:
         """Fold ``other``'s samples into this registry (and return self).
 
         Counters and histograms add; gauges take ``other``'s writes.  The
-        operation is associative, so scopes and worker snapshots can be
-        folded in any grouping.
+        operation is associative, so nested run scopes can be folded in any
+        grouping.
         """
         for name in sorted(other._families):
             family = other._families[name]

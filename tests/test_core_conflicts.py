@@ -1,19 +1,27 @@
 """Tests for key-conflict identification (Example 6.3 and friends)."""
 
+import pytest
+
+from repro.core import conflicts as conflicts_module
 from repro.core.conflicts import (
     COPY,
     INVENT,
     NULL_KIND,
+    conflicts_in_group,
     find_all_conflicts,
     find_key_conflicts,
     conflicting_sets,
     term_kind,
 )
+from repro.core.functionality import differing_positions, rename_unitary
+from repro.core.pipeline import MappingSystem
 from repro.core.query_generation import rewrite_to_unitary
 from repro.core.schema_mapping import generate_schema_mapping
 from repro.core.skolem import skolemize_schema_mapping
+from repro.logic.satisfiability import check_equal_and_differ
 from repro.logic.terms import NULL_TERM, Constant, SkolemTerm, Variable
-from repro.scenarios import cars
+from repro.obs import Tracer, use_tracer
+from repro.scenarios import bundled_problems, cars, generated_problems
 
 
 def _unitary(problem):
@@ -148,3 +156,132 @@ class TestHardConflicts:
         )
         assert any(c.is_hard for c in conflicts)
         assert "T.v" in str(conflicts[0]) or "v" in str(conflicts[0])
+
+
+def _fresh_positions(left, renamed, source_schema, relation):
+    """The differing non-key positions, one fresh closure per position."""
+    key_positions = relation.key_positions()
+    premises = (left.premise, renamed.premise)
+    atoms = [atom for premise in premises for atom in premise.atoms]
+    equalities = [
+        (left.consequent.terms[p], renamed.consequent.terms[p]) for p in key_positions
+    ]
+    equalities += [(e.left, e.right) for premise in premises for e in premise.equalities]
+    null_terms = [v for premise in premises for v in premise.null_vars]
+    nonnull_terms = [v for premise in premises for v in premise.nonnull_vars]
+    disequalities = [
+        (d.left, d.right) for premise in premises for d in premise.disequalities
+    ]
+    return [
+        position
+        for position in range(relation.arity)
+        if position not in key_positions
+        and check_equal_and_differ(
+            atoms,
+            source_schema,
+            equalities,
+            (left.consequent.terms[position], renamed.consequent.terms[position]),
+            null_terms,
+            nonnull_terms,
+            disequalities,
+        )
+    ]
+
+
+def _assert_shared_closure_agrees(problem):
+    problem, unitary = _unitary(problem)
+    source, target = problem.source_schema, problem.target_schema
+    checked = 0
+    for mapping in unitary:
+        relation = target.relation(mapping.consequent.relation)
+        copy = rename_unitary(mapping)
+        assert list(differing_positions(mapping, copy, source, relation)) == (
+            _fresh_positions(mapping, copy, source, relation)
+        ), mapping
+        checked += 1
+    for group in conflicting_sets(unitary).values():
+        relation = target.relation(group[0].consequent.relation)
+        per_pair = {}
+        for i, j, conflict in conflicts_in_group(group, source, target):
+            per_pair.setdefault((i, j), []).append(conflict)
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                renamed = rename_unitary(group[j])
+                shared = list(differing_positions(group[i], renamed, source, relation))
+                assert shared == _fresh_positions(group[i], renamed, source, relation)
+                assert per_pair.get((i, j), []) == find_key_conflicts(
+                    group[i], group[j], source, target
+                )
+                assert [c.attribute for c in per_pair.get((i, j), [])] == [
+                    relation.attributes[p].name for p in shared
+                ]
+                checked += 1
+    return checked
+
+
+class TestSharedClosureDifferential:
+    """One closed premise per mapping or pair answers every non-key position
+    exactly as a fresh closure per position does."""
+
+    @pytest.mark.parametrize("name", sorted(bundled_problems()))
+    def test_bundled_scenarios(self, name):
+        assert _assert_shared_closure_agrees(bundled_problems()[name]) > 0
+
+    @pytest.mark.parametrize("start", range(0, 200, 25))
+    def test_generated_scenarios(self, start):
+        for problem in generated_problems(range(start, start + 25)).values():
+            assert _assert_shared_closure_agrees(problem) > 0
+
+
+def _compile_counting(problem, monkeypatch):
+    """Compile under a tracer, counting renames made by the conflict check."""
+    renames = []
+
+    def counting_rename(mapping):
+        renames.append(mapping)
+        return rename_unitary(mapping)
+
+    monkeypatch.setattr(conflicts_module, "rename_unitary", counting_rename)
+    tracer = Tracer()
+    system = MappingSystem(problem)
+    with use_tracer(tracer):
+        system.compile()
+    return system.query_result().unitary, tracer.counters, len(renames)
+
+
+class TestClosureWorkCount:
+    """Work counts, not times: one closure per functional-check mapping and
+    per same-relation pair, one question per non-key position, one rename
+    per conflicting-set member that is ever on the right of a pair."""
+
+    @pytest.mark.parametrize(
+        "problem",
+        [cars.figure1_problem(), generated_problems([110])["gen-110"]],
+        ids=["figure1", "gen-110"],
+    )
+    def test_one_closure_per_mapping_and_pair(self, problem, monkeypatch):
+        unitary, counters, renames = _compile_counting(problem, monkeypatch)
+        target = problem.target_schema
+
+        def non_key(mapping):
+            relation = target.relation(mapping.consequent.relation)
+            return relation.arity - len(relation.key_positions())
+
+        groups = list(conflicting_sets(unitary).values())
+        pairs = [
+            (group[i], group[j])
+            for group in groups
+            for i in range(len(group))
+            for j in range(i + 1, len(group))
+        ]
+        closures = sum(1 for m in unitary if non_key(m)) + sum(
+            1 for left, _ in pairs if non_key(left)
+        )
+        checks = sum(non_key(m) for m in unitary) + sum(non_key(l) for l, _ in pairs)
+        # Closing once per position would make closures equal checks; on
+        # gen-110 (sets of 4, 4 and 8 mappings) renaming once per pair would
+        # make renames equal the 40 pairs instead of 13.
+        assert checks > closures
+        assert counters["satisfiability.closures"] == closures
+        assert counters["satisfiability.checks"] == checks
+        assert renames == sum(len(group) - 1 for group in groups if len(group) > 1)

@@ -6,8 +6,16 @@ invented values distinct from source values, null semantics, key fds) are
 each exercised.
 """
 
+from hypothesis import given, settings, strategies as st
+
 from repro.logic.atoms import RelationalAtom
-from repro.logic.satisfiability import SAT, UNSAT, TermSolver, check_equal_and_differ
+from repro.logic.satisfiability import (
+    SAT,
+    UNSAT,
+    TermSolver,
+    check_equal_and_differ,
+    close_premise,
+)
 from repro.logic.terms import NULL_TERM, Constant, SkolemTerm, Variable
 from repro.model.builder import SchemaBuilder
 
@@ -216,3 +224,104 @@ class TestCheckEqualAndDiffer:
             )
             is UNSAT
         )
+
+
+class TestClosePremise:
+    def _schema(self):
+        return SchemaBuilder("s").relation("R", "k", "v", "w?").build()
+
+    def test_unsat_premise_is_none(self):
+        k, v, w = V("k"), V("v"), V("w")
+        atoms = [RelationalAtom("R", (k, v, w))]
+        assert close_premise(atoms, self._schema(), [(v, NULL_TERM)]) is None
+
+    def test_forced_premise_disequality_is_none(self):
+        k1, v1, w1 = V("k1"), V("v1"), V("w1")
+        k2, v2, w2 = V("k2"), V("v2"), V("w2")
+        atoms = [RelationalAtom("R", (k1, v1, w1)), RelationalAtom("R", (k2, v2, w2))]
+        # The key fd forces v1 = v2, contradicting the premise's v1 != v2.
+        schema = self._schema()
+        assert close_premise(atoms, schema, [(k1, k2)], disequalities=[(v1, v2)]) is None
+        assert close_premise(atoms, schema, [], disequalities=[(v1, v2)]) is not None
+
+    def test_one_closure_answers_every_position(self):
+        k1, v1, w1 = V("k1"), V("v1"), V("w1")
+        k2, v2, w2 = V("k2"), V("v2"), V("w2")
+        atoms = [RelationalAtom("R", (k1, v1, w1)), RelationalAtom("R", (k2, v2, w2))]
+        solver = close_premise(atoms, self._schema(), [(v1, v2)])
+        assert solver is not None
+        assert solver.can_differ(w1, w2) is SAT
+        assert solver.can_differ(v1, v2) is UNSAT
+        assert solver.can_differ(SkolemTerm("f", [v1]), SkolemTerm("f", [v2])) is UNSAT
+        assert solver.can_differ(SkolemTerm("f", [w1]), SkolemTerm("f", [w2])) is SAT
+
+
+# -- many questions of one closed premise ------------------------------------
+
+_SCHEMA = SchemaBuilder("s").relation("R", "k", "v", "w?").relation("S", "a", "b?").build()
+_VARIABLES = [V(f"x{i}") for i in range(5)]
+_FUNCTORS = ("f", "g")
+
+_leaves = st.one_of(
+    st.sampled_from(_VARIABLES),
+    st.sampled_from([Constant("a"), Constant("b"), NULL_TERM]),
+)
+_terms = st.recursive(
+    _leaves,
+    lambda inner: st.builds(
+        lambda functor, args: SkolemTerm(functor, args),
+        st.sampled_from(_FUNCTORS),
+        st.lists(inner, min_size=1, max_size=2),
+    ),
+    max_leaves=4,
+)
+_atoms = st.one_of(
+    st.builds(
+        lambda terms: RelationalAtom("R", tuple(terms)),
+        st.lists(st.sampled_from(_VARIABLES), min_size=3, max_size=3),
+    ),
+    st.builds(
+        lambda terms: RelationalAtom("S", tuple(terms)),
+        st.lists(st.sampled_from(_VARIABLES), min_size=2, max_size=2),
+    ),
+)
+_pairs = st.tuples(_terms, _terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    atoms=st.lists(_atoms, min_size=1, max_size=4),
+    equalities=st.lists(_pairs, max_size=3),
+    null_terms=st.lists(st.sampled_from(_VARIABLES), max_size=1),
+    nonnull_terms=st.lists(st.sampled_from(_VARIABLES), max_size=2),
+    disequalities=st.lists(st.tuples(*[st.sampled_from(_VARIABLES)] * 2), max_size=1),
+    questions=st.lists(_pairs, min_size=1, max_size=6),
+)
+def test_shared_closure_answers_like_fresh_checks(
+    atoms, equalities, null_terms, nonnull_terms, disequalities, questions
+):
+    """Any sequence of questions to one closed premise, in either order,
+    including fresh Skolem terms over the premise's functors, gets the
+    answers of independent fresh checks."""
+    premise = (atoms, _SCHEMA, equalities, null_terms, nonnull_terms, disequalities)
+    fresh = [
+        check_equal_and_differ(
+            atoms,
+            _SCHEMA,
+            equalities,
+            question,
+            null_terms,
+            nonnull_terms,
+            disequalities,
+        )
+        for question in questions
+    ]
+    indices = list(range(len(questions)))
+    for order in (indices, indices[::-1]):
+        solver = close_premise(*premise)
+        if solver is None:
+            assert not any(fresh)
+            continue
+        answers = {i: solver.can_differ(*questions[i]) for i in order}
+        assert [answers[i] for i in indices] == fresh
+        assert not solver.clashed
