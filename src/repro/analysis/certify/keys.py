@@ -35,6 +35,8 @@ counterexample refutes the key, otherwise the verdict is UNKNOWN.
 
 from __future__ import annotations
 
+from functools import cache
+
 from ...datalog.program import DatalogProgram, Rule
 from ...obs import metric_inc
 from ..flow.keyorigin import FunctionalityRecord, functionality_records
@@ -71,6 +73,8 @@ def _certify_relation_key(
     key_positions = relation.key_positions()
     proofs: list[str] = []
     unknowns: list[str] = []
+    # rename_rule is pure: one copy serves the self-pair and every cross pair.
+    renamed = cache(lambda index: rename_rule(rules[index]))
 
     if not rules:
         return ConstraintVerdict(
@@ -91,7 +95,7 @@ def _certify_relation_key(
             )
             continue
         outcome = _analyze_pair(
-            program, rule, rename_rule(rule), key_positions, name
+            program, rule, renamed(index), key_positions, name
         )
         if outcome.proof is not None:
             proofs.append(f"rule {index} (self-pair): {outcome.proof}")
@@ -107,7 +111,7 @@ def _certify_relation_key(
     for i, first in enumerate(rules):
         for j in range(i + 1, len(rules)):
             outcome = _analyze_pair(
-                program, first, rename_rule(rules[j]), key_positions, name
+                program, first, renamed(j), key_positions, name
             )
             if outcome.proof is not None:
                 proofs.append(f"rules {i}+{j}: {outcome.proof}")

@@ -22,6 +22,7 @@ import json
 
 import pytest
 
+from repro.analysis.certify import keys as keys_module
 from repro.analysis.certify import (
     PROVED,
     REFUTED,
@@ -207,6 +208,27 @@ class TestGeneratedScenarios:
         assert not report.refuted, report.render()
         termination = report.of_kind("termination")
         assert [v.verdict for v in termination] == [PROVED]
+
+
+class TestKeyPassRenames:
+    """Each rule of a relation is renamed at most once by the key pass: the
+    renamed copy serves the self-pair and every cross pair."""
+
+    @pytest.mark.parametrize(
+        "name, renames", [("appendix-c4", 6), ("figure-12", 3)]
+    )
+    def test_each_rule_renamed_at_most_once(self, name, renames, monkeypatch):
+        renamed = []
+        rename_rule = keys_module.rename_rule
+
+        def counting_rename(rule):
+            renamed.append(id(rule))
+            return rename_rule(rule)
+
+        monkeypatch.setattr(keys_module, "rename_rule", counting_rename)
+        report = MappingSystem(bundled_problems()[name]).certify()
+        assert report.ok
+        assert len(renamed) == len(set(renamed)) == renames
 
 
 # --- refutations -----------------------------------------------------------

@@ -8,8 +8,10 @@ against measured row counts lives in ``test_cost_calibration.py``.
 """
 
 import json
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.cost import (
     CALIBRATION_SIZE,
@@ -22,16 +24,17 @@ from repro.analysis.cost import (
     analyze_cost,
     tighter,
 )
+from repro.analysis.cost.bounds import _calibrate
 from repro.analysis.diagnostics import CODES, ERROR, INFO, WARNING
 from repro.cli import main
 from repro.core.pipeline import MappingSystem
 from repro.datalog.exec.plan import plan_program, plan_rule
 from repro.datalog.program import DatalogProgram, Rule
 from repro.logic.atoms import RelationalAtom
-from repro.logic.terms import Variable
+from repro.logic.terms import NULL_TERM, Constant, Variable
 from repro.model.schema import Attribute, RelationSchema, Schema
 from repro.obs import MetricsRegistry, use_metrics
-from repro.scenarios import bundled_problems
+from repro.scenarios import bundled_problems, generated_problems
 
 SCENARIOS = sorted(bundled_problems())
 
@@ -192,12 +195,6 @@ class TestAdvisor:
         (rule_plan,) = plan.plans["T"]
         assert rule_plan.scan.relation == "R"  # smallest relation first
 
-    def test_cost_advice_can_be_disabled(self):
-        program = _keyed_join_program()
-        plan = plan_program(program, cost_advice=False)
-        (rule_plan,) = plan.plans["T"]
-        assert rule_plan.scan.relation == "R"
-
     def test_single_atom_and_wide_bodies_fall_back(self):
         program = _keyed_join_program()
         advisor = JoinOrderAdvisor.for_program(program)
@@ -208,6 +205,108 @@ class TestAdvisor:
             for i in range(7)
         )
         assert advisor.order(wide) is None
+
+
+def _oracle_order(advisor, atoms):
+    """Exhaustive Polynomial pricing of every permutation: the reference the
+    prefix search must agree with.  Key ``(calibrated total, final degree,
+    order)``, minimal wins."""
+    if not 2 <= len(atoms) <= 6:
+        return None
+    best = None
+    for candidate in permutations(range(len(atoms))):
+        running, total, bound_vars = ONE, ZERO, set()
+        for index in candidate:
+            running = running * advisor._step_bound(atoms[index], bound_vars)
+            total = total + running
+            bound_vars.update(
+                t for t in atoms[index].terms if isinstance(t, Variable)
+            )
+        key = (_calibrate(total), running.degree(), list(candidate))
+        if best is None or key < best:
+            best = key
+    return best[2]
+
+
+def _assert_advisor_matches_oracle(problem) -> int:
+    program = MappingSystem(problem).transformation
+    advisor = JoinOrderAdvisor.for_program(program)
+    for rule in program.rules:
+        assert advisor.order(rule.body) == _oracle_order(advisor, rule.body), (
+            problem.name,
+            rule,
+        )
+    return len(program.rules)
+
+
+_VARIABLES = tuple(Variable(f"x{i}") for i in range(5))
+
+
+@st.composite
+def _keyed_bodies(draw):
+    """Random 2-6 atom bodies over up to four relations with random keys."""
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    keys = {}
+    for number, arity in enumerate(arities):
+        key = st.lists(
+            st.integers(0, arity - 1), min_size=1, max_size=arity, unique=True
+        ).map(lambda positions: tuple(sorted(positions)))
+        keys[f"R{number}"] = tuple(draw(st.lists(key, max_size=2)))
+    term = st.one_of(
+        st.sampled_from(_VARIABLES),
+        st.builds(Constant, st.integers(0, 1)),
+        st.just(NULL_TERM),
+    )
+    atoms = []
+    for _ in range(draw(st.integers(2, 6))):
+        number = draw(st.integers(0, len(arities) - 1))
+        atoms.append(
+            RelationalAtom(
+                f"R{number}",
+                tuple(draw(term) for _ in range(arities[number])),
+            )
+        )
+    return CostFacts(keys=keys), tuple(atoms)
+
+
+class TestAdvisorSearch:
+    """The pruned prefix search picks exactly the order that exhaustive
+    Polynomial pricing of all permutations picks, ties included."""
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_bundled_scenarios_match_the_oracle(self, name):
+        assert _assert_advisor_matches_oracle(bundled_problems()[name]) > 0
+
+    @pytest.mark.parametrize("start", range(0, 200, 50))
+    def test_generated_scenarios_match_the_oracle(self, start):
+        problems = generated_problems(range(start, start + 50))
+        for problem in problems.values():
+            assert _assert_advisor_matches_oracle(problem) > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(_keyed_bodies())
+    def test_random_bodies_match_the_oracle(self, case):
+        facts, atoms = case
+        advisor = JoinOrderAdvisor(facts)
+        assert advisor.order(atoms) == _oracle_order(advisor, atoms)
+
+    def test_step_bounds_priced_once_per_atom_and_prefix_set(self, monkeypatch):
+        program = MappingSystem(bundled_problems()["figure-12"]).transformation
+        (body,) = [rule.body for rule in program.rules if len(rule.body) == 6]
+        advisor = JoinOrderAdvisor.for_program(program)
+        calls = []
+        step_bound = advisor._step_bound
+
+        def counting_step_bound(atom, bound_vars):
+            calls.append(atom)
+            return step_bound(atom, bound_vars)
+
+        monkeypatch.setattr(advisor, "_step_bound", counting_step_bound)
+        order = advisor.order(body)
+        # At most once per (atom, placed set), n * 2^n; pricing every
+        # permutation makes 6! * 6 = 4320 calls.
+        assert 0 < len(calls) <= 6 * 2**6
+        assert order == _oracle_order(advisor, body)
 
 
 # -- the fact base -------------------------------------------------------
