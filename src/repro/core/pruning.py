@@ -314,14 +314,22 @@ def _prune_candidates(
         return None
 
     # -- subsumption ------------------------------------------------------
+    # Both subsumption tests reject candidates with different covered sets,
+    # so each candidate is compared only within its covered-set bucket, in
+    # the original order (the first subsumer found is unchanged).
+    buckets: dict[frozenset, list[CandidateMapping]] = {}
+    covered = [candidate.covered_set() for candidate in candidates]
+    for candidate, key in zip(candidates, covered):
+        buckets.setdefault(key, []).append(candidate)
     survivors: list[CandidateMapping] = []
-    for candidate in candidates:
+    for candidate, key in zip(candidates, covered):
         record = next(
             (
                 (other, how)
-                for other in candidates
+                for other in buckets[key]
+                if other is not candidate
                 for how in (subsumption_test(other, candidate),)
-                if other is not candidate and how is not None
+                if how is not None
             ),
             None,
         )

@@ -256,8 +256,12 @@ def _resolve_key_conflicts(
                 bucket.append(_negation_of(better, keys, target_schema))
 
         # -- fusion ----------------------------------------------------------
-        for size in range(2, len(group) + 1):
-            for indices in itertools.combinations(range(len(group)), size):
+        # A qualifying subset holds only members preferred over another, so
+        # subsets of ``eligible`` are all that can qualify; combinations of
+        # a sorted sub-list keep the size-then-lexicographic order.
+        eligible = sorted({i for (i, _j) in preferred_over})
+        for size in range(2, len(eligible) + 1):
+            for indices in itertools.combinations(eligible, size):
                 if not _qualifies_for_fusion(indices, preferred_over):
                     continue
                 members = [group[i] for i in indices]

@@ -12,7 +12,7 @@ of ``r'`` implied by those of ``r``, and ``θ(negations') ⊆ negations``.
 from __future__ import annotations
 
 from ..logic.atoms import RelationalAtom
-from ..logic.homomorphism import find_homomorphism
+from ..logic.homomorphism import _compatible, find_homomorphism
 from ..logic.terms import Term, Variable
 from .program import DatalogProgram, Rule
 
@@ -70,13 +70,32 @@ def subsumes_rule(general: Rule, specific: Rule) -> bool:
 
 
 def remove_subsumed_rules(program: DatalogProgram) -> DatalogProgram:
-    """Drop rules subsumed by other rules (and exact duplicates)."""
-    kept: list[Rule] = []
+    """Drop rules subsumed by other rules (and exact duplicates).
+
+    Only pairs that can match reach :func:`subsumes_rule`. A rule is tried
+    against the rules with its head relation whose body relations are a
+    subset of its own and whose head terms are compatible with its head
+    (:func:`repro.logic.homomorphism._compatible`); any other pair has no
+    witness θ. A homomorphism need not be injective — ``T(x) :- R(x,y),
+    R(x,z)`` subsumes ``T(x) :- R(x,y)`` — so body relations are compared
+    as sets, not multisets. The remaining pairs are tried in rule order, so
+    the kept rules are those of the all-pairs walk.
+    """
     rules = program.rules
+    body_relations = [frozenset(atom.relation for atom in r.body) for r in rules]
+    by_head: dict[str, list[int]] = {}
+    for j, rule in enumerate(rules):
+        by_head.setdefault(rule.head_relation, []).append(j)
+    kept: list[Rule] = []
     for i, rule in enumerate(rules):
         redundant = False
-        for j, other in enumerate(rules):
-            if i == j:
+        for j in by_head[rule.head_relation]:
+            other = rules[j]
+            if (
+                i == j
+                or not body_relations[j] <= body_relations[i]
+                or not _compatible(other.head, rule.head, {})
+            ):
                 continue
             if subsumes_rule(other, rule):
                 # Mutual subsumption (duplicates): keep the earlier rule.

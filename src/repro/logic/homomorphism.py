@@ -11,8 +11,10 @@ term exactly.
 The search is deterministic: candidate target atoms are ordered by a
 canonical structural key, so the witness returned for a given pattern/target
 pair does not depend on the order in which the target atoms were supplied.
-A constants/arity pre-filter removes incompatible targets before the
-backtracking starts, which bounds the branching factor by the number of
+Two exact pre-filters run before the backtracking starts. Only target
+atoms of the pattern's relations are bucketed and sorted, since no other
+atom can be an image. A constants/arity pre-filter then removes
+incompatible targets, which bounds the branching factor by the number of
 *structurally* compatible atoms instead of the relation size.
 """
 
@@ -73,9 +75,15 @@ def iter_homomorphisms(
     deterministic given the pattern order and the canonical target ordering.
     """
     assignment: Assignment = dict(fixed or {})
-    by_relation: dict[str, list[RelationalAtom]] = {}
+    # Only the pattern's relations are bucketed: no other target atom can
+    # be an image.
+    by_relation: dict[str, list[RelationalAtom]] = {
+        atom.relation: [] for atom in pattern
+    }
     for atom in target:
-        by_relation.setdefault(atom.relation, []).append(atom)
+        bucket = by_relation.get(atom.relation)
+        if bucket is not None:
+            bucket.append(atom)
     # Canonical candidate ordering: witnesses are stable under permutations
     # of the target atom list.
     for bucket in by_relation.values():
