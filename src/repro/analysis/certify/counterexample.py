@@ -1,7 +1,7 @@
 """Concrete counterexamples: build, replay on both engines, minimize.
 
-A REFUTED verdict is only as good as its evidence.  This module turns an
-:class:`~repro.analysis.certify.closure.EgdClosure` describing a suspected
+A REFUTED verdict is only as good as its evidence.  This module turns a
+:class:`~repro.logic.satisfiability.PremiseClosure` describing a suspected
 violation into a *valid* source instance, replays it through **both**
 evaluation engines (the tuple-at-a-time reference interpreter and the
 compiled batch runtime), and accepts the refutation only when
@@ -30,12 +30,12 @@ from typing import Callable
 from ...datalog.engine import evaluate
 from ...datalog.exec import evaluate_batch
 from ...datalog.program import DatalogProgram
+from ...logic.satisfiability import PremiseClosure
 from ...logic.terms import Term
 from ...model.instance import Instance
 from ...model.validation import validate_instance
 from ...model.values import NULL
 from ...obs import metric_inc
-from .closure import EgdClosure
 
 #: FK-repair chase rounds before giving up (weakly acyclic schemas need
 #: at most the schema's dependency depth; this guards hand-built inputs).
@@ -65,7 +65,7 @@ def fk_violation_check(relation: str, attribute: str) -> ViolationCheck:
     )
 
 
-def instance_from_closure(closure: EgdClosure, schema) -> Instance | None:
+def instance_from_closure(closure: PremiseClosure, schema) -> Instance | None:
     """A concrete source instance realizing the closure's atoms.
 
     ``None`` when the closure is contradictory or an atom does not fit the
@@ -180,7 +180,7 @@ def _without_row(instance: Instance, relation: str, row: tuple) -> Instance:
 
 def confirmed_counterexample(
     program: DatalogProgram,
-    closure: EgdClosure,
+    closure: PremiseClosure,
     check: ViolationCheck,
 ) -> Instance | None:
     """The full pipeline: build, confirm on both engines, minimize.

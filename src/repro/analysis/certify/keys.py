@@ -11,9 +11,11 @@ proof obligation accordingly:
   row.  Unconfirmed records fall back to the pair analysis against a
   renamed copy of the rule.
 
-* *across two rules* — the combined bodies are loaded into an
-  :class:`~repro.analysis.certify.closure.EgdClosure`, the key head terms
-  are equated, and the closure is saturated under the source FDs.  The pair
+* *across two rules* — the combined bodies are loaded into a
+  :class:`~repro.logic.satisfiability.PremiseClosure` (the egd chase that
+  also decides Algorithm 4's key-conflict check on mapping pairs), the key
+  head terms are equated, and the closure is saturated under the source
+  FDs.  The pair
   is then harmless when one of these holds, each yielding a one-line proof:
 
   1. the constraints are contradictory (disjoint Skolem ranges, an
@@ -38,9 +40,10 @@ from __future__ import annotations
 from functools import cache
 
 from ...datalog.program import DatalogProgram, Rule
+from ...logic.satisfiability import PremiseClosure
 from ...obs import metric_inc
 from ..flow.keyorigin import FunctionalityRecord, functionality_records
-from .closure import EgdClosure, negation_refutation, rename_rule
+from .closure import add_rule, negation_refutation, rename_rule
 from .counterexample import confirmed_counterexample, key_violation_check
 from .report import PROVED, REFUTED, UNKNOWN, ConstraintVerdict
 
@@ -173,9 +176,9 @@ def _analyze_pair(
 
     ``second`` must already be variable-disjoint from ``first`` (renamed).
     """
-    closure = EgdClosure(schema=program.source_schema)
-    closure.add_rule(first)
-    closure.add_rule(second)
+    closure = PremiseClosure(program.source_schema)
+    add_rule(closure, first)
+    add_rule(closure, second)
     for position in key_positions:
         closure.equate(first.head.terms[position], second.head.terms[position])
     closure.saturate()

@@ -45,11 +45,15 @@ from ...logic.mappings import LogicalMapping, UnitaryMapping
 from ...logic.tableau import PartialTableau
 from ...logic.terms import (
     Constant,
+    FrozenValue,
     NullTerm,
     SkolemTerm,
     Term,
     Variable,
+    is_nonnull_like,
+    is_null_like,
     term_variables,
+    terms_agree,
 )
 from ...obs import count, metric_inc
 
@@ -62,44 +66,6 @@ MAX_WITNESS_CANDIDATES = 10_000
 ConsequentConditions = tuple[frozenset[Variable], frozenset[Variable]]
 
 _NO_CONDITIONS: ConsequentConditions = (frozenset(), frozenset())
-
-
-@dataclass(frozen=True)
-class FrozenValue(Term):
-    """A canonical-instance constant: one per equivalence class of variables.
-
-    Carries the class's null / non-null mark so condition compatibility can
-    be decided locally during the homomorphism search.  Equality is by value,
-    so two freezes of structurally equal queries agree.
-    """
-
-    index: int
-    name: str
-    null: bool = False
-    nonnull: bool = False
-
-    def __repr__(self) -> str:
-        mark = "=null" if self.null else ("!=null" if self.nonnull else "")
-        return f"<{self.name}#{self.index}{mark}>"
-
-
-def _is_null_like(term: Term) -> bool:
-    """Guaranteed to denote the null value in every instantiation."""
-    return isinstance(term, NullTerm) or (isinstance(term, FrozenValue) and term.null)
-
-
-def _is_nonnull_like(term: Term) -> bool:
-    """Guaranteed to denote a non-null value in every instantiation."""
-    if isinstance(term, (Constant, SkolemTerm)):
-        return True
-    return isinstance(term, FrozenValue) and term.nonnull
-
-
-def _terms_agree(left: Term, right: Term) -> bool:
-    """Equality of frozen terms, identifying all guaranteed-null terms."""
-    if left == right:
-        return True
-    return _is_null_like(left) and _is_null_like(right)
 
 
 @dataclass(frozen=True)
@@ -262,7 +228,7 @@ def _freeze(query: ConjunctiveQuery) -> CanonicalInstance:
             if right in parent:
                 pinned[right] = left
         elif not isinstance(left, Variable) and not isinstance(right, Variable):
-            if not _terms_agree(left, right):
+            if not terms_agree(left, right):
                 unsatisfiable = True
         # Equalities involving Skolem terms are left residual: they constrain
         # the query further, which is sound to ignore on the contained side.
@@ -306,7 +272,7 @@ def _freeze(query: ConjunctiveQuery) -> CanonicalInstance:
     for d in query.disequalities:
         left = d.left.substitute(substitution)
         right = d.right.substitute(substitution)
-        if _terms_agree(left, right):
+        if terms_agree(left, right):
             unsatisfiable = True
         key = tuple(sorted((repr(left), repr(right))))
         pairs.add(key)  # type: ignore[arg-type]
@@ -390,8 +356,8 @@ def _diseq_entailed(left: Term, right: Term, frozen: CanonicalInstance) -> bool:
     """Is ``left ≠ right`` guaranteed by the frozen instance?"""
     if isinstance(left, Constant) and isinstance(right, Constant):
         return left != right
-    if (_is_null_like(left) and _is_nonnull_like(right)) or (
-        _is_null_like(right) and _is_nonnull_like(left)
+    if (is_null_like(left) and is_nonnull_like(right)) or (
+        is_null_like(right) and is_nonnull_like(left)
     ):
         return True
     if isinstance(left, SkolemTerm) and isinstance(right, SkolemTerm):
@@ -406,14 +372,14 @@ def _diseq_entailed(left: Term, right: Term, frozen: CanonicalInstance) -> bool:
     return key in frozen.diseq_pairs
 
 
-def _seed_head(
+def seed_head(
     fixed: dict[Variable, Term], pattern_term: Term, frozen_term: Term
 ) -> bool:
     """Pre-bind container head variables to the frozen head, structurally."""
     if isinstance(pattern_term, Variable):
         bound = fixed.get(pattern_term)
         if bound is not None:
-            return _terms_agree(bound, frozen_term)
+            return terms_agree(bound, frozen_term)
         fixed[pattern_term] = frozen_term
         return True
     if isinstance(pattern_term, SkolemTerm):
@@ -424,10 +390,10 @@ def _seed_head(
         ) != len(frozen_term.args):
             return False
         return all(
-            _seed_head(fixed, p, f)
+            seed_head(fixed, p, f)
             for p, f in zip(pattern_term.args, frozen_term.args)
         )
-    return _terms_agree(pattern_term, frozen_term)
+    return terms_agree(pattern_term, frozen_term)
 
 
 class ContainmentEngine:
@@ -485,20 +451,20 @@ class ContainmentEngine:
 
         fixed: dict[Variable, Term] = {}
         for pattern_term, frozen_term in zip(container.head, frozen.head):
-            if not _seed_head(fixed, pattern_term, frozen_term):
+            if not seed_head(fixed, pattern_term, frozen_term):
                 return None
         # Seeded bindings bypass the search's var_check: re-check conditions.
         for var, image in fixed.items():
-            if var in container.null_vars and not _is_null_like(image):
+            if var in container.null_vars and not is_null_like(image):
                 return None
-            if var in container.nonnull_vars and not _is_nonnull_like(image):
+            if var in container.nonnull_vars and not is_nonnull_like(image):
                 return None
 
         def var_check(var: Variable, image: Term) -> bool:
             if var in container.null_vars:
-                return _is_null_like(image)
+                return is_null_like(image)
             if var in container.nonnull_vars:
-                return _is_nonnull_like(image)
+                return is_nonnull_like(image)
             return True
 
         examined = 0
@@ -526,7 +492,7 @@ class ContainmentEngine:
     ) -> bool:
         """Side conditions the raw homomorphism search does not cover."""
         for eq in container.equalities:
-            if not _terms_agree(eq.left.substitute(theta), eq.right.substitute(theta)):
+            if not terms_agree(eq.left.substitute(theta), eq.right.substitute(theta)):
                 return False
         for d in container.disequalities:
             if not _diseq_entailed(
@@ -537,7 +503,7 @@ class ContainmentEngine:
             if atom.substitute(theta) not in frozen.negated:
                 return False
         for pattern_term, frozen_term in zip(container.head, frozen.head):
-            if not _terms_agree(pattern_term.substitute(theta), frozen_term):
+            if not terms_agree(pattern_term.substitute(theta), frozen_term):
                 return False
         return True
 
@@ -613,16 +579,16 @@ class ContainmentEngine:
 
         def var_check(var: Variable, image: Term) -> bool:
             if var in strong_cq.null_vars:
-                return _is_null_like(image)
+                return is_null_like(image)
             if var in strong_cq.nonnull_vars:
-                return _is_nonnull_like(image)
+                return is_nonnull_like(image)
             return True
 
         strong_source = set(
             term_variables(t for atom in strong_cq.atoms for t in atom.terms)
         )
         produced: list[RelationalAtom] = []
-        firings = 0
+        firings = invented = 0
         for theta in iter_homomorphisms(
             strong_cq.atoms, frozen.atoms, var_check=var_check
         ):
@@ -639,9 +605,11 @@ class ContainmentEngine:
             for atom in strong_consequent:
                 for var in atom.variables():
                     if var not in strong_source and var not in full:
-                        # (var.index, firing) is unique: no accidental fusion.
+                        # Numbered per call, so the witness text does not
+                        # depend on how many variables the process made.
+                        invented += 1
                         full[var] = FrozenValue(
-                            var.index,
+                            invented,
                             f"invent@{firings}:{var.name}",
                             null=var in strong_null,
                             nonnull=var not in strong_null,
@@ -663,9 +631,9 @@ class ContainmentEngine:
 
         def weak_check(var: Variable, image: Term) -> bool:
             if var in weak_null:
-                return _is_null_like(image)
+                return is_null_like(image)
             if var in weak_nonnull:
-                return _is_nonnull_like(image)
+                return is_nonnull_like(image)
             return True
 
         if any(not weak_check(var, image) for var, image in fixed.items()):
@@ -692,7 +660,7 @@ class ContainmentEngine:
     ) -> bool:
         """Conditions for one tgd firing on the canonical database."""
         for eq in premise_cq.equalities:
-            if not _terms_agree(eq.left.substitute(theta), eq.right.substitute(theta)):
+            if not terms_agree(eq.left.substitute(theta), eq.right.substitute(theta)):
                 return False
         for d in premise_cq.disequalities:
             if not _diseq_entailed(

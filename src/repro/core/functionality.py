@@ -7,8 +7,8 @@ must be unsatisfiable over instances satisfying the source constraints.
 
 The check doubles the premise with fresh variables, equates the two copies'
 key terms (decomposing Skolem terms via injectivity), closes that premise
-once and asks the congruence-closure engine, per non-key position, whether
-the two terms can still differ.  The key-conflict check of
+once under the source key FDs (:mod:`repro.logic.satisfiability`) and asks,
+per non-key position, whether the two terms can still differ.  The key-conflict check of
 :mod:`repro.core.conflicts` asks the same questions of a mapping pair
 through :func:`differing_positions`.
 """
@@ -72,7 +72,7 @@ def differing_positions(
     ]
     for source in (left.premise, right.premise):
         equalities.extend((e.left, e.right) for e in source.equalities)
-    solver = close_premise(
+    closure = close_premise(
         list(left.premise.atoms) + list(right.premise.atoms),
         source_schema,
         equalities,
@@ -84,13 +84,13 @@ def differing_positions(
             for d in source.disequalities
         ],
     )
-    if solver is None:
+    if closure is None:
         # An unsatisfiable premise decides every position at once.
         count("satisfiability.checks", len(positions))
         return
     for position in positions:
         left_term = left.consequent.terms[position]
-        if solver.can_differ(left_term, right.consequent.terms[position]):
+        if closure.can_differ(left_term, right.consequent.terms[position]):
             yield position
 
 

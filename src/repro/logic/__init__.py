@@ -3,7 +3,7 @@
 from .atoms import Equality, NegatedPremise, RelationalAtom, atoms_variables, iter_positions
 from .homomorphism import embeds, find_homomorphism
 from .mappings import LogicalMapping, Premise, SchemaMapping, UnitaryMapping
-from .satisfiability import SAT, UNSAT, TermSolver, check_equal_and_differ, close_premise
+from .satisfiability import SAT, UNSAT, PremiseClosure, check_equal_and_differ, close_premise
 from .tableau import MAND, NONE, NONNULL, NULL, PartialTableau
 from .terms import (
     NULL_TERM,
@@ -32,12 +32,12 @@ __all__ = [
     "NullTerm",
     "PartialTableau",
     "Premise",
+    "PremiseClosure",
     "RelationalAtom",
     "SAT",
     "SchemaMapping",
     "SkolemTerm",
     "Term",
-    "TermSolver",
     "UNSAT",
     "UnitaryMapping",
     "Variable",

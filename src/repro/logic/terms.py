@@ -128,6 +128,44 @@ class SkolemTerm(Term):
         return f"{self.functor}({inner})"
 
 
+@dataclass(frozen=True)
+class FrozenValue(Term):
+    """A canonical-instance constant: one per equivalence class of variables.
+
+    Carries the class's null / non-null mark so condition compatibility can
+    be decided locally during the homomorphism search.  Equality is by value,
+    so two freezes of structurally equal queries agree.
+    """
+
+    index: int
+    name: str
+    null: bool = False
+    nonnull: bool = False
+
+    def __repr__(self) -> str:
+        mark = "=null" if self.null else ("!=null" if self.nonnull else "")
+        return f"<{self.name}#{self.index}{mark}>"
+
+
+def is_null_like(term: Term) -> bool:
+    """Guaranteed to denote the null value in every instantiation."""
+    return isinstance(term, NullTerm) or (isinstance(term, FrozenValue) and term.null)
+
+
+def is_nonnull_like(term: Term) -> bool:
+    """Guaranteed to denote a non-null value in every instantiation."""
+    if isinstance(term, (Constant, SkolemTerm)):
+        return True
+    return isinstance(term, FrozenValue) and term.nonnull
+
+
+def terms_agree(left: Term, right: Term) -> bool:
+    """Equality of frozen terms, identifying all guaranteed-null terms."""
+    if left == right:
+        return True
+    return is_null_like(left) and is_null_like(right)
+
+
 class VariableFactory:
     """Creates variables with readable, unique display names.
 

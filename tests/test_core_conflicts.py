@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import conflicts as conflicts_module
+from repro.core import functionality as functionality_module
 from repro.core.conflicts import (
     COPY,
     INVENT,
@@ -18,10 +19,12 @@ from repro.core.pipeline import MappingSystem
 from repro.core.query_generation import rewrite_to_unitary
 from repro.core.schema_mapping import generate_schema_mapping
 from repro.core.skolem import skolemize_schema_mapping
-from repro.logic.satisfiability import check_equal_and_differ
+from repro.logic.satisfiability import check_equal_and_differ, close_premise
 from repro.logic.terms import NULL_TERM, Constant, SkolemTerm, Variable
 from repro.obs import Tracer, use_tracer
 from repro.scenarios import bundled_problems, cars, generated_problems
+
+from . import satisfiability_oracle as oracle
 
 
 def _unitary(problem):
@@ -188,7 +191,29 @@ def _fresh_positions(left, renamed, source_schema, relation):
     ]
 
 
-def _assert_shared_closure_agrees(problem):
+class _CheckedClosure:
+    """A closed premise whose every answer is compared with the reference
+    solver's answer to the same question."""
+
+    def __init__(self, closure, reference):
+        self.closure = closure
+        self.reference = reference
+
+    def can_differ(self, left, right):
+        answer = self.closure.can_differ(left, right)
+        assert answer == self.reference.can_differ(left, right), (left, right)
+        return answer
+
+
+def _checked_close_premise(*premise):
+    closure = close_premise(*premise)
+    reference = oracle.close_premise(*premise)
+    assert (closure is None) == (reference is None), premise
+    return None if closure is None else _CheckedClosure(closure, reference)
+
+
+def _assert_shared_closure_agrees(problem, monkeypatch):
+    monkeypatch.setattr(functionality_module, "close_premise", _checked_close_premise)
     problem, unitary = _unitary(problem)
     source, target = problem.source_schema, problem.target_schema
     checked = 0
@@ -221,16 +246,17 @@ def _assert_shared_closure_agrees(problem):
 
 class TestSharedClosureDifferential:
     """One closed premise per mapping or pair answers every non-key position
-    exactly as a fresh closure per position does."""
+    exactly as a fresh closure per position does, and every closure agrees
+    with the reference solver on unsatisfiability and on every answer."""
 
     @pytest.mark.parametrize("name", sorted(bundled_problems()))
-    def test_bundled_scenarios(self, name):
-        assert _assert_shared_closure_agrees(bundled_problems()[name]) > 0
+    def test_bundled_scenarios(self, name, monkeypatch):
+        assert _assert_shared_closure_agrees(bundled_problems()[name], monkeypatch) > 0
 
     @pytest.mark.parametrize("start", range(0, 200, 25))
-    def test_generated_scenarios(self, start):
+    def test_generated_scenarios(self, start, monkeypatch):
         for problem in generated_problems(range(start, start + 25)).values():
-            assert _assert_shared_closure_agrees(problem) > 0
+            assert _assert_shared_closure_agrees(problem, monkeypatch) > 0
 
 
 def _compile_counting(problem, monkeypatch):

@@ -1,4 +1,4 @@
-"""Tests for the congruence-closure satisfiability engine.
+"""Tests for the egd-chase satisfiability engine.
 
 These checks back the functionality test and the key-conflict test of
 Algorithm 4, so the axioms (Skolem injectivity, disjoint functor ranges,
@@ -12,12 +12,14 @@ from repro.logic.atoms import RelationalAtom
 from repro.logic.satisfiability import (
     SAT,
     UNSAT,
-    TermSolver,
+    PremiseClosure,
     check_equal_and_differ,
     close_premise,
 )
 from repro.logic.terms import NULL_TERM, Constant, SkolemTerm, Variable
 from repro.model.builder import SchemaBuilder
+
+from . import satisfiability_oracle as oracle
 
 
 def V(name):
@@ -25,112 +27,114 @@ def V(name):
 
 
 class TestTermSolver:
+    """Term-level facts and the key-FD chase on one :class:`PremiseClosure`."""
+
     def test_basic_union(self):
-        solver = TermSolver()
+        closure = PremiseClosure(None)
         x, y, z = V("x"), V("y"), V("z")
-        solver.assert_equal(x, y)
-        solver.assert_equal(y, z)
-        assert solver.equal(x, z)
-        assert not solver.clashed
+        closure.equate(x, y)
+        closure.equate(y, z)
+        assert closure.terms_equal(x, z)
+        assert closure.contradiction is None
 
     def test_distinct_constants_clash(self):
-        solver = TermSolver()
+        closure = PremiseClosure(None)
         x = V("x")
-        solver.assert_equal(x, Constant("a"))
-        solver.assert_equal(x, Constant("b"))
-        assert solver.clashed
+        closure.equate(x, Constant("a"))
+        closure.equate(x, Constant("b"))
+        assert closure.contradiction is not None
 
     def test_same_constant_no_clash(self):
-        solver = TermSolver()
+        closure = PremiseClosure(None)
         x = V("x")
-        solver.assert_equal(x, Constant("a"))
-        solver.assert_equal(x, Constant("a"))
-        assert not solver.clashed
+        closure.equate(x, Constant("a"))
+        closure.equate(x, Constant("a"))
+        assert closure.contradiction is None
 
     def test_null_vs_constant_clash(self):
-        solver = TermSolver()
+        closure = PremiseClosure(None)
         x = V("x")
-        solver.assert_null(x)
-        solver.assert_equal(x, Constant("a"))
-        assert solver.clashed
+        closure.assert_null(x)
+        closure.equate(x, Constant("a"))
+        assert closure.contradiction is not None
 
     def test_null_vs_nonnull_clash(self):
-        solver = TermSolver()
+        closure = PremiseClosure(None)
         x = V("x")
-        solver.assert_nonnull(x)
-        solver.assert_null(x)
-        assert solver.clashed
+        closure.assert_nonnull(x)
+        closure.assert_null(x)
+        assert closure.contradiction is not None
 
     def test_skolem_vs_variable_clash(self):
         # Invented values are distinct from every source value (paper sec. 6).
-        solver = TermSolver()
+        closure = PremiseClosure(None)
         x, y = V("x"), V("y")
-        solver.assert_equal(x, SkolemTerm("f", [y]))
-        assert solver.clashed
+        closure.equate(x, SkolemTerm("f", [y]))
+        assert closure.contradiction is not None
 
     def test_skolem_vs_constant_clash(self):
-        solver = TermSolver()
-        solver.assert_equal(SkolemTerm("f", []), Constant("a"))
-        assert solver.clashed
+        closure = PremiseClosure(None)
+        closure.equate(SkolemTerm("f", []), Constant("a"))
+        assert closure.contradiction is not None
 
     def test_skolem_vs_null_clash(self):
-        solver = TermSolver()
-        solver.assert_equal(SkolemTerm("f", []), NULL_TERM)
-        assert solver.clashed
+        closure = PremiseClosure(None)
+        closure.equate(SkolemTerm("f", []), NULL_TERM)
+        assert closure.contradiction is not None
 
     def test_different_functors_clash(self):
-        solver = TermSolver()
+        closure = PremiseClosure(None)
         x = V("x")
-        solver.assert_equal(SkolemTerm("f", [x]), SkolemTerm("g", [x]))
-        assert solver.clashed
+        closure.equate(SkolemTerm("f", [x]), SkolemTerm("g", [x]))
+        assert closure.contradiction is not None
 
     def test_injectivity_decomposes_args(self):
-        solver = TermSolver()
+        closure = PremiseClosure(None)
         x, y = V("x"), V("y")
-        solver.assert_equal(SkolemTerm("f", [x]), SkolemTerm("f", [y]))
-        assert not solver.clashed
-        assert solver.equal(x, y)
+        closure.equate(SkolemTerm("f", [x]), SkolemTerm("f", [y]))
+        assert closure.contradiction is None
+        assert closure.terms_equal(x, y)
 
     def test_congruence_merges_applications(self):
-        solver = TermSolver()
+        closure = PremiseClosure(None)
         x, y = V("x"), V("y")
         fx, fy = SkolemTerm("f", [x]), SkolemTerm("f", [y])
-        solver.find(fx)
-        solver.find(fy)
-        solver.assert_equal(x, y)
-        assert solver.equal(fx, fy)
+        assert not closure.terms_equal(fx, fy)
+        closure.equate(x, y)
+        assert closure.terms_equal(fx, fy)
 
     def test_nested_congruence(self):
-        solver = TermSolver()
+        closure = PremiseClosure(None)
         x, y = V("x"), V("y")
         gfx = SkolemTerm("g", [SkolemTerm("f", [x])])
         gfy = SkolemTerm("g", [SkolemTerm("f", [y])])
-        solver.find(gfx)
-        solver.find(gfy)
-        solver.assert_equal(x, y)
-        assert solver.equal(gfx, gfy)
+        assert not closure.terms_equal(gfx, gfy)
+        closure.equate(x, y)
+        assert closure.terms_equal(gfx, gfy)
 
     def test_key_fd_chase(self):
         schema = SchemaBuilder("s").relation("R", "k", "v").build()
-        solver = TermSolver()
+        closure = PremiseClosure(schema)
         k1, v1, k2, v2 = V("k1"), V("v1"), V("k2"), V("v2")
-        atoms = [RelationalAtom("R", (k1, v1)), RelationalAtom("R", (k2, v2))]
-        solver.assert_equal(k1, k2)
-        solver.chase_keys(atoms, schema)
-        assert solver.equal(v1, v2)
+        closure.add_atoms([RelationalAtom("R", (k1, v1)), RelationalAtom("R", (k2, v2))])
+        closure.equate(k1, k2)
+        closure.saturate()
+        assert closure.terms_equal(v1, v2)
 
     def test_key_fd_chase_composite(self):
         schema = SchemaBuilder("s").relation("R", "a", "b", "v", key=["a", "b"]).build()
-        solver = TermSolver()
+        closure = PremiseClosure(schema)
         a1, b1, v1 = V("a1"), V("b1"), V("v1")
         a2, b2, v2 = V("a2"), V("b2"), V("v2")
-        atoms = [RelationalAtom("R", (a1, b1, v1)), RelationalAtom("R", (a2, b2, v2))]
-        solver.assert_equal(a1, a2)
-        solver.chase_keys(atoms, schema)
-        assert not solver.equal(v1, v2)  # keys agree only on a
-        solver.assert_equal(b1, b2)
-        solver.chase_keys(atoms, schema)
-        assert solver.equal(v1, v2)
+        closure.add_atoms(
+            [RelationalAtom("R", (a1, b1, v1)), RelationalAtom("R", (a2, b2, v2))]
+        )
+        closure.equate(a1, a2)
+        closure.saturate()
+        assert not closure.terms_equal(v1, v2)  # keys agree only on a
+        closure.equate(b1, b2)
+        closure.saturate()
+        assert closure.terms_equal(v1, v2)
 
 
 class TestCheckEqualAndDiffer:
@@ -244,6 +248,19 @@ class TestClosePremise:
         assert close_premise(atoms, schema, [(k1, k2)], disequalities=[(v1, v2)]) is None
         assert close_premise(atoms, schema, [], disequalities=[(v1, v2)]) is not None
 
+    def test_null_at_a_mandatory_source_position_is_a_contradiction(self):
+        schema = self._schema()
+        k, v, w = V("k"), V("v"), V("w")
+        closure = PremiseClosure(schema)
+        closure.add_atoms([RelationalAtom("R", (k, NULL_TERM, w))])
+        assert closure.contradiction == "a value is required to be both null and non-null"
+        nullable = PremiseClosure(schema)
+        nullable.add_atoms([RelationalAtom("R", (k, v, NULL_TERM))])
+        assert nullable.contradiction is None
+        for closer in (close_premise, oracle.close_premise):
+            assert closer([RelationalAtom("R", (k, NULL_TERM, w))], schema, []) is None
+            assert closer([RelationalAtom("R", (k, v, NULL_TERM))], schema, []) is not None
+
     def test_one_closure_answers_every_position(self):
         k1, v1, w1 = V("k1"), V("v1"), V("w1")
         k2, v2, w2 = V("k2"), V("v2"), V("w2")
@@ -324,4 +341,41 @@ def test_shared_closure_answers_like_fresh_checks(
             continue
         answers = {i: solver.can_differ(*questions[i]) for i in order}
         assert [answers[i] for i in indices] == fresh
-        assert not solver.clashed
+        assert solver.contradiction is None
+
+
+_ground_atoms = st.one_of(
+    st.builds(
+        lambda terms: RelationalAtom("R", tuple(terms)),
+        st.lists(_leaves, min_size=3, max_size=3),
+    ),
+    st.builds(
+        lambda terms: RelationalAtom("S", tuple(terms)),
+        st.lists(_leaves, min_size=2, max_size=2),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    atoms=st.lists(_ground_atoms, min_size=1, max_size=4),
+    equalities=st.lists(_pairs, max_size=3),
+    null_terms=st.lists(st.sampled_from(_VARIABLES), max_size=1),
+    nonnull_terms=st.lists(st.sampled_from(_VARIABLES), max_size=2),
+    disequalities=st.lists(st.tuples(*[st.sampled_from(_VARIABLES)] * 2), max_size=1),
+    questions=st.lists(_pairs, min_size=1, max_size=6),
+)
+def test_closure_answers_like_the_reference_solver(
+    atoms, equalities, null_terms, nonnull_terms, disequalities, questions
+):
+    """Atoms over variables, constants and null (also at mandatory
+    positions): the closure and the reference solver agree on whether the
+    premise is unsatisfiable and on every question."""
+    premise = (atoms, _SCHEMA, equalities, null_terms, nonnull_terms, disequalities)
+    closure = close_premise(*premise)
+    reference = oracle.close_premise(*premise)
+    assert (closure is None) == (reference is None)
+    if closure is not None:
+        assert [closure.can_differ(*q) for q in questions] == [
+            reference.can_differ(*q) for q in questions
+        ]

@@ -17,6 +17,7 @@ from repro.analysis.semantic.containment import (
     cq_from_unitary,
     contained_in,
     equivalent,
+    reset_default_engine,
 )
 from repro.core.chase import MODIFIED, logical_relations
 from repro.datalog.program import Rule
@@ -366,3 +367,35 @@ class TestEngineBehaviour:
         assert isinstance(witness, Witness)
         text = witness.render()
         assert text.startswith("{") and "->" in text
+
+    def test_implication_witness_does_not_depend_on_process_history(self):
+        """Invented values are numbered per check, not by the process-wide
+        variable counter: gen-332's pruning witness reads the same after
+        1000 unrelated variables have been created."""
+        from repro.core.pipeline import MappingSystem
+        from repro.core.pruning import semantic_implication_witness
+        from repro.scenarios import generated_problems
+
+        def implication_witnesses():
+            system = MappingSystem(
+                generated_problems([332])["gen-332"], semantic_pruning=True
+            )
+            report = system.schema_mapping_result().report
+            candidates = {c.name: c for c in report.candidates}
+            witnesses = []
+            for record in report.pruned:
+                if record.rule != "implication":
+                    continue
+                # A fresh engine, so the second run cannot reuse a cached witness.
+                reset_default_engine()
+                witness = semantic_implication_witness(
+                    candidates[record.by], candidates[record.name]
+                )
+                witnesses.append((record.name, witness.render()))
+            return witnesses
+
+        first = implication_witnesses()
+        for _ in range(1000):
+            V("unrelated")
+        assert first and implication_witnesses() == first
+        assert ("S11", "{r -> <r#2>, a1 -> <invent@1:a1#1=null>}") in first
